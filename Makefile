@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check cover ci bench bench-smoke pardebug obsoverhead execlog vet-mpl vetprune compilecache cache-check fusion-check absint-check dispatch serve serve-smoke stream stream-smoke emu-check debug
+.PHONY: all build test race vet fmt check cover ci bench bench-smoke pardebug obsoverhead execlog vet-mpl vetprune compilecache cache-check fusion-check absint-check dispatch serve serve-smoke stream stream-smoke emu-check debug perfbench-smoke
 
 all: build
 
@@ -74,7 +74,7 @@ vet-mpl: build
 	fi
 	@echo "vet-mpl: OK"
 
-ci: check cover bench-smoke vet-mpl absint-check cache-check serve-smoke stream-smoke emu-check
+ci: check cover bench-smoke vet-mpl absint-check cache-check serve-smoke stream-smoke emu-check perfbench-smoke
 	@echo "ci: OK"
 
 # Debugging-phase fast-path gate: the pooled fast-dispatch emulation must
@@ -118,6 +118,13 @@ serve-smoke: build
 # Regenerate the E19 serving-daemon load-test table (writes BENCH_serve.json).
 serve: build
 	$(GO) run ./cmd/ppdbench serve
+
+# The repo benchmark (perfbench/) is its own module, so `go test ./...`
+# at the root never reaches it: run its smoke test — every workload on
+# tiny inputs, traced and untraced, with all answer checks — here.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+	@echo "perfbench-smoke: OK"
 
 bench:
 	$(GO) test -bench=. -benchmem .

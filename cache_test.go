@@ -2,11 +2,17 @@ package ppd
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"ppd/internal/bytecode"
+	"ppd/internal/controller"
 	"ppd/internal/eblock"
+	"ppd/internal/logging"
+	"ppd/internal/replay"
 	"ppd/internal/workloads"
 )
 
@@ -170,5 +176,111 @@ func TestCacheEnvVar(t *testing.T) {
 	}
 	if out.String() != "7\n" {
 		t.Errorf("warm run output = %q", out.String())
+	}
+}
+
+// debugView renders everything the debugging phase answers from the
+// preparatory artifacts: every interval's dynamic graph (up to a cap per
+// process) with its flowback fragment, the race and deadlock reports, the
+// debugger's `where`, and a what-if at each process's first interval that
+// restates a scalar global's starting value.
+func debugView(t *testing.T, prog *Program) string {
+	t.Helper()
+	const maxIntervals = 12
+	exec, err := prog.RunLogged(Options{Seed: 3, Quantum: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	ctl := exec.Controller()
+	art := prog.Artifacts()
+	for pid, book := range exec.Log().Books {
+		n := 0
+		for idx, rec := range book.Records {
+			if rec.Kind != logging.RecPrelog || n == maxIntervals {
+				continue
+			}
+			n++
+			g, err := ctl.Graph(pid, idx)
+			if err != nil {
+				t.Fatalf("P%d interval %d: %v", pid, idx, err)
+			}
+			fmt.Fprintf(&sb, "P%d interval %d:\n%s", pid, idx, g)
+			if last := g.LastNode(); last != nil {
+				sb.WriteString(controller.RenderFragment(g, last.ID, 4))
+			}
+			if n > 1 {
+				continue
+			}
+			for gid, def := range art.Prog.Globals {
+				if def.Kind != bytecode.GlobalVar || def.IsArray {
+					continue
+				}
+				v := replay.InitialGlobals(art.Prog)[gid].Int
+				if got, ok := rec.Globals.Get(gid); ok {
+					v = got.Int
+				}
+				wi, err := exec.WhatIf(pid, idx, def.Name, v)
+				if err != nil {
+					t.Fatalf("P%d what-if %s=%d: %v", pid, def.Name, v, err)
+				}
+				fmt.Fprintf(&sb, "whatif %s=%d: changed %v, globals %v, err %v, completed %v, %d events\n",
+					def.Name, v, wi.ChangedGlobals, wi.Modified.Globals, wi.Modified.Err,
+					wi.Modified.Completed, len(wi.Modified.Trace.Events))
+				break
+			}
+		}
+	}
+	sb.WriteString(exec.RaceReport())
+	sb.WriteString(ctl.DeadlockReport())
+	dbg, err := exec.Debugger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbg.Exec(&sb, "where")
+	return sb.String()
+}
+
+// TestHydrateContract pins what Hydrate rebuilds. A warm cache-loaded
+// artifact rebuilds parse through progdb only: after Hydrate its Facts
+// stay nil (abstract interpretation does not rerun), Vet serves the
+// persisted result, and every debugging-phase answer equals the one a
+// full compile gives.
+func TestHydrateContract(t *testing.T) {
+	t.Setenv("PPD_CACHE_DIR", "")
+	dir := t.TempDir()
+	for name, src := range cacheTestSources(t) {
+		fresh, err := Compile(name, src)
+		if err != nil {
+			t.Fatalf("%s: fresh compile: %v", name, err)
+		}
+		if fresh.Artifacts().Facts == nil {
+			t.Fatalf("%s: a full compile must carry its abstract-interpretation facts", name)
+		}
+		if _, err := CompileOpts(name, src, eblock.DefaultConfig(), Options{CacheDir: dir}); err != nil {
+			t.Fatalf("%s: cold cached compile: %v", name, err)
+		}
+		warm, err := CompileOpts(name, src, eblock.DefaultConfig(), Options{CacheDir: dir})
+		if err != nil {
+			t.Fatalf("%s: warm compile: %v", name, err)
+		}
+		art := warm.Artifacts()
+		if err := art.Hydrate(); err != nil {
+			t.Fatalf("%s: hydrate: %v", name, err)
+		}
+		if !art.Hydrated() {
+			t.Fatalf("%s: hydrate left the semantic layers unbuilt", name)
+		}
+		if art.Facts != nil {
+			t.Errorf("%s: hydrate reran abstract interpretation (Facts != nil)", name)
+		}
+		if vet := art.Vet(nil); vet != art.DB.Vet() {
+			t.Errorf("%s: Vet(nil) is not the persisted result the database serves", name)
+		} else if got, want := vet.Text(), fresh.Vet().Text(); got != want {
+			t.Errorf("%s: persisted vet differs from a full compile's:\n got: %s\nwant: %s", name, got, want)
+		}
+		if got, want := debugView(t, warm), debugView(t, fresh); got != want {
+			t.Errorf("%s: debugging-phase answers differ after hydrate:\n got: %s\nwant: %s", name, got, want)
+		}
 	}
 }

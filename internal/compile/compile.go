@@ -29,6 +29,10 @@ import (
 // persisted vet result only; Info/PDG/Plan/DB are nil until Hydrate —
 // because the execution phase needs nothing but the bytecode, and the
 // semantic layers are cheap to rebuild on the first debugging-phase query.
+// Facts stays nil on such an artifact even after Hydrate: the debugging
+// phase reads the static PDG and the program database (§3.2.1), never the
+// abstract-interpretation facts, which live on in the fused bytecode's
+// certificates and the persisted vet result.
 type Artifacts struct {
 	File *source.File
 	Prog *bytecode.Program
@@ -38,9 +42,11 @@ type Artifacts struct {
 	DB   *progdb.DB
 
 	// Facts is the abstract-interpretation result (analysis/absint),
-	// computed once per pipeline run and shared by the fusion pass (safety
-	// certificates) and the vet passes. Nil on cache-loaded artifacts until
-	// Hydrate rebuilds the semantic layers.
+	// computed once per full pipeline run and shared by the fusion pass
+	// (safety certificates) and the vet passes. Always nil on cache-loaded
+	// artifacts, hydrated or not: their certificates are already in Prog
+	// and their vet result is persisted. A vet without a persisted result
+	// recomputes the facts on demand (analysis.AnalyzeWithFacts with nil).
 	Facts *absint.Facts
 
 	cfg    eblock.Config    // for Hydrate
@@ -52,8 +58,9 @@ type Artifacts struct {
 
 // Hydrate ensures the semantic layers (Info, PDG, Plan, DB) are present,
 // rebuilding them from source for cache-loaded artifacts. It is a no-op on
-// artifacts from a full compile. The rebuild runs the front-end passes
-// only — codegen is skipped since Prog came from the cache — and seeds the
+// artifacts from a full compile. The rebuild runs parse through progdb
+// only — abstract interpretation, codegen, and fusion are skipped since
+// Prog came from the cache with its certificates applied — and seeds the
 // database's vet slot with the persisted result so no analysis pass reruns.
 func (a *Artifacts) Hydrate() error {
 	a.hydrateOnce.Do(func() {
@@ -69,7 +76,7 @@ func (a *Artifacts) Hydrate() error {
 			a.hydrateErr = err
 			return
 		}
-		a.Info, a.PDG, a.Plan, a.DB, a.Facts = full.Info, full.PDG, full.Plan, full.DB, full.Facts
+		a.Info, a.PDG, a.Plan, a.DB = full.Info, full.PDG, full.Plan, full.DB
 		if a.preVet != nil {
 			pre := a.preVet
 			a.DB.EnsureVet(func() *analysis.Result { return pre })
@@ -246,7 +253,7 @@ func CompileBare(file *source.File) (*Artifacts, error) {
 type pipelineOpts struct {
 	crossWriteFilter bool
 	noInstr          bool
-	skipCodegen      bool // Hydrate: bytecode already loaded from the cache
+	skipCodegen      bool // Hydrate: bytecode (and its certificates) already loaded from the cache
 	sink             *obs.Sink
 	pool             *sched.Pool // nil: run every pass sequentially
 
@@ -299,16 +306,16 @@ func compilePipeline(file *source.File, cfg eblock.Config, po pipelineOpts) (*Ar
 	db := progdb.BuildWith(p, plan, po.pool)
 	sc.End()
 
+	if po.skipCodegen {
+		return &Artifacts{File: file, Info: info, PDG: p, Plan: plan, DB: db, cfg: cfg}, nil
+	}
+
 	// Abstract interpretation over the finished PDG: the value-range and
 	// lockset facts feed both the fusion pass below (safety certificates
 	// for trapping constituents) and the vet passes (Artifacts.Vet).
 	sc = pass("absint")
 	facts := absint.Analyze(p)
 	sc.End()
-
-	if po.skipCodegen {
-		return &Artifacts{File: file, Info: info, PDG: p, Plan: plan, DB: db, Facts: facts, cfg: cfg}, nil
-	}
 
 	sc = pass("codegen")
 	c := &compiler{

@@ -122,6 +122,9 @@ func TestCompileCachedColdWarm(t *testing.T) {
 		if warm.DB == nil || warm.PDG == nil || warm.Info == nil || warm.Plan == nil {
 			t.Fatalf("%s: hydrate left semantic layers nil", name)
 		}
+		if warm.Facts != nil {
+			t.Errorf("%s: hydrate reran abstract interpretation", name)
+		}
 		// The hydrated database must serve the persisted vet result, not
 		// recompute one.
 		if warm.DB.Vet() == nil {

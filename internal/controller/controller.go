@@ -17,7 +17,6 @@ import (
 	"strings"
 	"sync"
 
-	"ppd/internal/analysis"
 	"ppd/internal/ast"
 	"ppd/internal/bitset"
 	"ppd/internal/compile"
@@ -247,20 +246,18 @@ func (c *Controller) Emulator(pid int) *emulation.Emulator { return c.emus[pid] 
 // is identical to race.Indexed's (the detectors are golden-equivalent).
 //
 // Unless Config.NoStaticPrune is set, the detector is filtered by the
-// static conflict matrix from the program database (computed on first
-// need): buckets of variables no pair of processes can statically
-// conflict on are skipped. The filter cannot change the result — the
-// matrix over-approximates every dynamic conflict — it only removes work.
+// static conflict matrix of the artifacts' one vet result (Artifacts.Vet:
+// persisted, or computed once from the compile's facts): buckets of
+// variables no pair of processes can statically conflict on are skipped.
+// The filter cannot change the result — the matrix over-approximates
+// every dynamic conflict — it only removes work.
 func (c *Controller) Races() []*race.Race {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.racesDone {
 		var mask *bitset.Set
 		if !c.noPrune {
-			vet := c.Art.DB.EnsureVet(func() *analysis.Result {
-				return analysis.Analyze(c.Art.PDG, c.Art.Prog, c.obs)
-			})
-			mask = vet.Conflicts.Mask()
+			mask = c.Art.Vet(c.obs).Conflicts.Mask()
 		}
 		c.races = race.ParallelMasked(c.pgraph, c.pool.Workers(), mask, c.obs)
 		c.racesDone = true

@@ -12,6 +12,7 @@ import (
 	"ppd/internal/obs"
 	"ppd/internal/sched"
 	"ppd/internal/vm"
+	"ppd/internal/workloads"
 )
 
 func session(t *testing.T, src string, opts vm.Options) *Controller {
@@ -638,5 +639,77 @@ func main() { spawn w(); spawn w(); P(done); P(done); }`
 	}
 	if got := sink.Snapshot().Counter("race.runs"); got != 1 {
 		t.Errorf("race.runs = %d, want 1 (detector must run once)", got)
+	}
+}
+
+// TestGraphEdgeOrderDeterministic builds every interval (up to a cap per
+// process) of several workloads twice, through two fresh controllers over
+// one execution, and requires the same edge sequence and the same
+// RenderFragment text: a graph's edge order, and with it the order of a
+// fragment's siblings, must depend on the trace alone.
+func TestGraphEdgeOrderDeterministic(t *testing.T) {
+	const maxIntervals = 40
+	for _, wl := range []*workloads.Workload{
+		workloads.Matmul(4),
+		workloads.ProdCons(20),
+		workloads.TokenRing(3, 4),
+		workloads.Divide(5),
+		workloads.Histo(4),
+		workloads.RacyCounter(3, 4, false),
+	} {
+		art, err := compile.CompileSource(wl.Name, wl.Src, eblock.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: compile: %v", wl.Name, err)
+		}
+		v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: 3, Seed: 1})
+		if err := v.Run(); err != nil {
+			t.Fatalf("%s: run: %v", wl.Name, err)
+		}
+		c1, c2 := FromRun(art, v), FromRun(art, v)
+		multi := 0 // statements fed by more than one data edge
+		for pid := 0; pid < c1.NumProcs(); pid++ {
+			idxs := prelogs(c1, pid)
+			if len(idxs) > maxIntervals {
+				idxs = idxs[:maxIntervals]
+			}
+			for _, idx := range idxs {
+				g1, err1 := c1.Graph(pid, idx)
+				g2, err2 := c2.Graph(pid, idx)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("%s pid %d interval %d: %v / %v", wl.Name, pid, idx, err1, err2)
+				}
+				if len(g1.Edges) != len(g2.Edges) {
+					t.Fatalf("%s pid %d interval %d: %d vs %d edges", wl.Name, pid, idx, len(g1.Edges), len(g2.Edges))
+				}
+				for i := range g1.Edges {
+					if *g1.Edges[i] != *g2.Edges[i] {
+						t.Errorf("%s pid %d interval %d: edge %d is %+v in one build, %+v in the other",
+							wl.Name, pid, idx, i, *g1.Edges[i], *g2.Edges[i])
+						break
+					}
+				}
+				for _, n := range g1.Nodes {
+					data := 0
+					for _, e := range g1.Incoming(n.ID) {
+						if e.Kind == dynpdg.EdgeData {
+							data++
+						}
+					}
+					if data > 1 {
+						multi++
+					}
+				}
+				if last := g1.LastNode(); last != nil {
+					f1 := RenderFragment(g1, last.ID, 4)
+					f2 := RenderFragment(g2, g2.LastNode().ID, 4)
+					if f1 != f2 {
+						t.Errorf("%s pid %d interval %d: fragments differ:\n%s\nvs\n%s", wl.Name, pid, idx, f1, f2)
+					}
+				}
+			}
+		}
+		if multi == 0 {
+			t.Errorf("%s: no node has two data dependences; the order goes unchecked", wl.Name)
+		}
 	}
 }

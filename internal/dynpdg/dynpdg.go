@@ -207,7 +207,7 @@ type gbuilder struct {
 	prevNode    NodeID // for flow edges
 
 	// pending reads of the current statement instance: nodes feeding it.
-	pendingDeps map[NodeID]int // node -> var
+	pendingDeps depSet
 
 	// callSaves holds, per in-flight call, the caller's open statement node
 	// and its unconsumed pending reads, so the statement instance resumes
@@ -223,7 +223,37 @@ type gbuilder struct {
 
 type callSave struct {
 	stmtNode NodeID
-	pending  map[NodeID]int
+	pending  depSet
+}
+
+// dep is one pending read: the node whose value was read and the variable
+// that carried it (-1 for a call's or recv's result).
+type dep struct {
+	node NodeID
+	v    int
+}
+
+// depSet holds a statement instance's pending reads in ascending NodeID
+// order, so the data edges they become are added in an order fixed by the
+// trace alone: two builds of one interval render identically. Each node
+// appears once; reading it again keeps the latest variable.
+type depSet []dep
+
+// add records a read of node n through variable v. Reads mostly arrive in
+// ascending node order, so the insertion point is searched from the end.
+func (s depSet) add(n NodeID, v int) depSet {
+	i := len(s)
+	for i > 0 && s[i-1].node > n {
+		i--
+	}
+	if i > 0 && s[i-1].node == n {
+		s[i-1].v = v
+		return s
+	}
+	s = append(s, dep{})
+	copy(s[i+1:], s[i:])
+	s[i] = dep{node: n, v: v}
+	return s
 }
 
 type argVarsKey struct {
@@ -246,7 +276,6 @@ func (b *gbuilder) run(buf *trace.Buffer, rootFn string) {
 		lastWrite: make(map[int]NodeID),
 		callNode:  -1,
 	}}
-	b.pendingDeps = make(map[NodeID]int)
 	b.curStmtNode = -1
 
 	for i := range buf.Events {
@@ -372,12 +401,12 @@ func (b *gbuilder) event(e *trace.Event) {
 			label = ast.StmtString(st)
 		}
 		b.openStmt(NodeSingular, e.Stmt, label)
-		b.pendingDeps = make(map[NodeID]int)
+		b.pendingDeps = b.pendingDeps[:0]
 
 	case trace.EvRead:
 		def := b.defNodeFor(e.Var)
 		if b.curStmtNode >= 0 {
-			b.pendingDeps[def] = e.Var
+			b.pendingDeps = b.pendingDeps.add(def, e.Var)
 		}
 
 	case trace.EvWrite:
@@ -436,7 +465,7 @@ func (b *gbuilder) event(e *trace.Event) {
 			}
 		})
 		b.callSaves = append(b.callSaves, callSave{stmtNode: b.curStmtNode, pending: remaining})
-		b.pendingDeps = make(map[NodeID]int)
+		b.pendingDeps = b.pendingDeps[:0]
 		b.acts = append(b.acts, newAct)
 		b.curStmtNode = -1
 
@@ -452,15 +481,15 @@ func (b *gbuilder) event(e *trace.Event) {
 			// Resume the caller's statement instance: the call's result
 			// (%0) feeds whatever consumes it, alongside the reads that
 			// preceded the call.
-			save := callSave{stmtNode: -1, pending: map[NodeID]int{}}
+			save := callSave{stmtNode: -1}
 			if n := len(b.callSaves); n > 0 {
 				save = b.callSaves[n-1]
 				b.callSaves = b.callSaves[:n-1]
 			}
-			save.pending[sub.ID] = -1
+			save.pending = save.pending.add(sub.ID, -1)
 			b.resume = &save
 			b.curStmtNode = -1
-			b.pendingDeps = map[NodeID]int{sub.ID: -1}
+			b.pendingDeps = append(b.pendingDeps[:0], dep{node: sub.ID, v: -1})
 			b.prevNode = sub.ID
 		}
 
@@ -476,10 +505,9 @@ func (b *gbuilder) event(e *trace.Event) {
 		b.g.addEdge(EdgeFlow, b.prevNode, sub.ID, -1)
 		b.prevNode = sub.ID
 		b.attachControl(b.g.Nodes[sub.ID])
-		remaining := b.bindParams(e, sub, nil)
-		remaining[sub.ID] = -1
+		remaining := b.bindParams(e, sub, nil).add(sub.ID, -1)
 		b.resume = &callSave{stmtNode: b.curStmtNode, pending: remaining}
-		b.pendingDeps = map[NodeID]int{sub.ID: -1}
+		b.pendingDeps = append(b.pendingDeps[:0], dep{node: sub.ID, v: -1})
 		// The substituted postlog's EvWrite events follow; route them
 		// through the sub-graph node by making it current.
 		b.curStmtNode = sub.ID
@@ -513,7 +541,7 @@ func (b *gbuilder) event(e *trace.Event) {
 			// The received value flows into whatever consumes it; the
 			// enclosing statement (var v = recv(c)) stays current so its
 			// store lands on its own node.
-			b.pendingDeps[n.ID] = -1
+			b.pendingDeps = b.pendingDeps.add(n.ID, -1)
 		}
 
 	case trace.EvEnd:
@@ -522,13 +550,13 @@ func (b *gbuilder) event(e *trace.Event) {
 }
 
 func (b *gbuilder) flushDeps(to NodeID) {
-	for dep, v := range b.pendingDeps {
-		if dep == to {
+	for _, d := range b.pendingDeps {
+		if d.node == to {
 			continue
 		}
-		b.g.addEdge(EdgeData, dep, to, v)
+		b.g.addEdge(EdgeData, d.node, to, d.v)
 	}
-	b.pendingDeps = make(map[NodeID]int)
+	b.pendingDeps = b.pendingDeps[:0]
 }
 
 // String renders the graph compactly for golden tests: one line per node
@@ -562,17 +590,19 @@ func (g *Graph) String() string {
 // bindParams creates the %1..%n parameter nodes of a call, attaching to
 // each the pending reads that statically belong to that argument's
 // expression (Fig 4.1's fictional nodes for expression arguments). It
-// returns the pending reads no argument consumed, and invokes bound for
-// each created node so callees can map them to parameter slots.
-func (b *gbuilder) bindParams(e *trace.Event, sub *Node, bound func(i int, pn NodeID)) map[NodeID]int {
+// returns, as a new set, the pending reads no argument consumed, and
+// invokes bound for each created node so callees can map them to
+// parameter slots.
+func (b *gbuilder) bindParams(e *trace.Event, sub *Node, bound func(i int, pn NodeID)) depSet {
 	argVars := b.argVars(b.top().fnName, e.Stmt, e.FuncIdx)
-	consumed := make(map[NodeID]bool)
+	consumed := make([]bool, len(b.pendingDeps))
 	for i, argv := range e.Args {
 		pn := b.g.newNode(&Node{
 			Kind: NodeParam, Stmt: e.Stmt,
 			Label: fmt.Sprintf("%%%d", i+1), Value: argv, HasValue: true, Var: -1,
 		})
-		for dep, v := range b.pendingDeps {
+		for k, d := range b.pendingDeps {
+			v := d.v
 			attach := false
 			switch {
 			case v == -1:
@@ -590,8 +620,8 @@ func (b *gbuilder) bindParams(e *trace.Event, sub *Node, bound func(i int, pn No
 				attach = true // no static info: attach conservatively
 			}
 			if attach {
-				b.g.addEdge(EdgeData, dep, pn.ID, v)
-				consumed[dep] = true
+				b.g.addEdge(EdgeData, d.node, pn.ID, v)
+				consumed[k] = true
 			}
 		}
 		b.g.addEdge(EdgeData, pn.ID, sub.ID, -1)
@@ -599,10 +629,10 @@ func (b *gbuilder) bindParams(e *trace.Event, sub *Node, bound func(i int, pn No
 			bound(i, pn.ID)
 		}
 	}
-	remaining := make(map[NodeID]int)
-	for dep, v := range b.pendingDeps {
-		if !consumed[dep] {
-			remaining[dep] = v
+	var remaining depSet
+	for k, d := range b.pendingDeps {
+		if !consumed[k] {
+			remaining = append(remaining, d)
 		}
 	}
 	return remaining

@@ -16,6 +16,7 @@ package race
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"ppd/internal/bitset"
@@ -58,12 +59,38 @@ type Race struct {
 }
 
 // VarNames renders the conflicting variables: source names when known,
-// GlobalIDs otherwise.
+// GlobalIDs otherwise (in fmt's %v form, "[0 2]").
 func (r *Race) VarNames() string {
+	var sb strings.Builder
+	r.writeVarNames(&sb)
+	return sb.String()
+}
+
+// writeVarNames writes VarNames' rendering to sb.
+func (r *Race) writeVarNames(sb *strings.Builder) {
 	if len(r.Names) == len(r.Vars) && len(r.Names) > 0 {
-		return strings.Join(r.Names, ",")
+		for i, name := range r.Names {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString(name)
+		}
+		return
 	}
-	return fmt.Sprintf("%v", r.Vars)
+	sb.WriteByte('[')
+	for i, v := range r.Vars {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		writeInt(sb, v)
+	}
+	sb.WriteByte(']')
+}
+
+// writeInt writes v in decimal without fmt's reflection and boxing.
+func writeInt(sb *strings.Builder, v int) {
+	var num [20]byte
+	sb.Write(strconv.AppendInt(num[:0], int64(v), 10))
 }
 
 // String renders the race for reports.
@@ -340,25 +367,53 @@ func RaceFree(g *parallel.Graph) bool {
 	return len(Indexed(g)) == 0
 }
 
-// Report renders races with variable names resolved.
+// reportLineBytes estimates one report line: the fixed text plus six
+// short numbers and a short variable list. Report sizes its buffer from
+// it, so a typical report renders without regrowing.
+const reportLineBytes = 80
+
+// Report renders races with variable names resolved: through globalName
+// when non-nil, else each race's VarNames. The whole report is written
+// into one buffer sized up front — a triage session's report can run to
+// thousands of lines, and this is the last step before the answer.
 func Report(races []*Race, globalName func(int) string) string {
 	if len(races) == 0 {
 		return "no races detected: the execution instance is race-free (Def 6.4)\n"
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d race(s) detected:\n", len(races))
+	sb.Grow(32 + len(races)*reportLineBytes)
+	writeInt(&sb, len(races))
+	sb.WriteString(" race(s) detected:\n")
 	for _, r := range races {
-		joined := r.VarNames()
+		sb.WriteString("  ")
+		sb.WriteString(r.Kind.String())
+		sb.WriteString(" race: ")
+		writeEdge(&sb, r.E1)
+		sb.WriteString(" vs ")
+		writeEdge(&sb, r.E2)
+		sb.WriteString(" on ")
 		if globalName != nil {
-			names := make([]string, len(r.Vars))
 			for i, v := range r.Vars {
-				names[i] = globalName(v)
+				if i > 0 {
+					sb.WriteByte(',')
+				}
+				sb.WriteString(globalName(v))
 			}
-			joined = strings.Join(names, ",")
+		} else {
+			r.writeVarNames(&sb)
 		}
-		fmt.Fprintf(&sb, "  %s race: P%d [events %d..%d] vs P%d [events %d..%d] on %s\n",
-			r.Kind, r.E1.PID+1, r.E1.Start, r.E1.End,
-			r.E2.PID+1, r.E2.Start, r.E2.End, joined)
+		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// writeEdge writes one side of a report line: "P<pid> [events <start>..<end>]".
+func writeEdge(sb *strings.Builder, e *parallel.InternalEdge) {
+	sb.WriteByte('P')
+	writeInt(sb, e.PID+1)
+	sb.WriteString(" [events ")
+	writeInt(sb, int(e.Start))
+	sb.WriteString("..")
+	writeInt(sb, int(e.End))
+	sb.WriteByte(']')
 }

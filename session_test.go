@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"ppd/internal/race"
+	"ppd/internal/workloads"
 )
 
 func TestSessionLifecycle(t *testing.T) {
@@ -321,5 +324,45 @@ func main() { spawn w(); spawn w(); P(done); P(done); }`
 	}
 	if got != want {
 		t.Errorf("session race report diverged from direct API:\n--- direct\n%s\n--- session\n%s", want, got)
+	}
+}
+
+// TestRacesReuseCompileFacts checks that an uncached session runs the
+// abstract interpreter once, in the compile pipeline (compile.absint):
+// the race detector's static pruning reads the vet result through
+// Artifacts.Vet, which reuses the compile's facts, so Analyze never runs
+// absint again (analysis.absint). The pruned report must equal the one
+// over the unpruned reference detector.
+func TestRacesReuseCompileFacts(t *testing.T) {
+	t.Setenv("PPD_CACHE_DIR", "")
+	for _, wl := range []*workloads.Workload{
+		workloads.RacyCounter(3, 4, false),
+		workloads.GuardedCounter(3, 4),
+		workloads.Sharded(3, 4),
+		workloads.ProdCons(20),
+	} {
+		sess, err := OpenSession(wl.Name+".mpl", wl.Src, Options{Quantum: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", wl.Name, err)
+		}
+		sess.Execution().Races()
+		st := sess.Stats()
+		if got := st.Timer("analysis.absint").Count; got != 0 {
+			t.Errorf("%s: analysis.absint ran %d time(s), want 0", wl.Name, got)
+		}
+		if got := st.Timer("compile.absint").Count; got != 1 {
+			t.Errorf("%s: compile.absint ran %d time(s), want 1", wl.Name, got)
+		}
+		got, err := sess.RaceReport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		globals := sess.Program().Artifacts().Prog.Globals
+		want := race.Report(race.Naive(sess.Execution().Controller().Parallel()),
+			func(gid int) string { return globals[gid].Name })
+		if got != want {
+			t.Errorf("%s: pruned race report differs from the unpruned reference:\n got: %s\nwant: %s", wl.Name, got, want)
+		}
+		sess.Close()
 	}
 }
