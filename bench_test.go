@@ -1,7 +1,9 @@
 // Top-level benchmarks: one testing.B target per experiment in DESIGN.md's
-// index (cmd/ppdbench prints the same results as formatted tables).
+// index. The experiments whose subject lives in one package (E12, E16,
+// E20, E22) keep their benchmarks next to that package's code; DESIGN.md
+// maps every experiment to its benchmark.
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem ./...
 package ppd
 
 import (
@@ -158,19 +160,26 @@ func benchRaceDetector(b *testing.B, detect func(*parallel.Graph) []*race.Race) 
 	}
 }
 
-func BenchmarkRaceNaive(b *testing.B)   { benchRaceDetector(b, race.Naive) }
-func BenchmarkRaceIndexed(b *testing.B) { benchRaceDetector(b, race.Indexed) }
+func BenchmarkRaceNaive(b *testing.B) { benchRaceDetector(b, race.Naive) }
 
-// BenchmarkRaceParallel is E13's detector half: Indexed's per-variable
+// BenchmarkRaceIndexed is Detect on one worker: the per-variable bucket
+// scan without fan-out.
+func BenchmarkRaceIndexed(b *testing.B) {
+	benchRaceDetector(b, func(g *parallel.Graph) []*race.Race {
+		return race.Detect(g, race.Opts{Workers: 1})
+	})
+}
+
+// BenchmarkRaceParallel is E13's detector half: Detect's per-variable
 // buckets sharded across a worker pool. Compare against BenchmarkRaceIndexed
-// at each worker count; on a multi-core machine w>=4 should beat it on
-// workloads.Sharded(8, 80), and the output race set is golden-identical
-// (TestDetectorsEquivalence).
+// (one worker) at each worker count; on a multi-core machine w>=4 should
+// beat it on workloads.Sharded(8, 80), and the output race set is
+// golden-identical (TestDetectorsEquivalence).
 func BenchmarkRaceParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			benchRaceDetector(b, func(g *parallel.Graph) []*race.Race {
-				return race.Parallel(g, workers)
+				return race.Detect(g, race.Opts{Workers: workers})
 			})
 		})
 	}
@@ -305,7 +314,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	g := parallel.Build(rv.Log, len(rart.Prog.Globals))
 	b.Run("race/obs=off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if rs := race.Parallel(g, 4); len(rs) != 0 {
+			if rs := race.Detect(g, race.Opts{Workers: 4}); len(rs) != 0 {
 				b.Fatal("sharded workload should be race-free")
 			}
 		}
@@ -313,7 +322,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("race/obs=on", func(b *testing.B) {
 		sink := obs.New()
 		for i := 0; i < b.N; i++ {
-			if rs := race.ParallelObs(g, 4, sink); len(rs) != 0 {
+			if rs := race.Detect(g, race.Opts{Workers: 4, Sink: sink}); len(rs) != 0 {
 				b.Fatal("sharded workload should be race-free")
 			}
 		}

@@ -414,7 +414,7 @@ func cmdRaces(args []string) error {
 		}
 		g := parallel.Build(v.Log, len(art.Prog.Globals))
 		g.VarNames = names
-		races := race.IndexedMasked(g, mask, nil)
+		races := race.Detect(g, race.Opts{Mask: mask})
 		if len(races) > 0 {
 			anyRace = true
 		}

@@ -49,7 +49,7 @@ func cmdServe(args []string) error {
 	srv.Start()
 	defer srv.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -64,6 +64,29 @@ func cmdServe(args []string) error {
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		return httpSrv.Shutdown(shutCtx)
+	}
+}
+
+// Read deadlines for every connection the daemon accepts. A client that
+// trickles its request headers, or its body, holds a connection and a
+// goroutine until the deadline cuts it off; an idle keep-alive connection
+// is bounded by readTimeout too. Neither bounds a handler: a long run or
+// race analysis still answers after readTimeout has passed (the request
+// was fully read before the handler started), and request bodies are
+// already capped at 16 MiB by the server's MaxBytesReader.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
+// newHTTPServer is the one constructor for the daemon's http.Servers, so
+// the served daemon and the -smoke self-test share the same limits.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 	}
 }
 
@@ -90,7 +113,7 @@ func serveSmoke(cfg server.Config) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer("", srv.Handler())
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()

@@ -1,8 +1,8 @@
 // BenchmarkDispatch: the E18 matrix — fused vs unfused interpretation of
 // every standard workload, under ModeRun (pure dispatch cost) and ModeLog
 // (dispatch cost with the logging writes in the loop). `make bench-smoke`
-// runs one iteration of each; `ppdbench dispatch` persists the measured
-// speedups to BENCH_dispatch.json.
+// runs one iteration of each; `go test -bench Dispatch -benchmem .`
+// measures the fused/unfused speedups.
 package ppd
 
 import (

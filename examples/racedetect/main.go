@@ -64,7 +64,7 @@ func main() {
 			log.Fatalf("run: %v", err)
 		}
 		g := parallel.Build(v.Log, len(art.Prog.Globals))
-		races := race.Indexed(g)
+		races := race.Detect(g, race.Opts{})
 
 		fmt.Printf("\n--- seed %d: parallel dynamic graph ---\n", seed)
 		fmt.Print(g.String())

@@ -243,7 +243,7 @@ func (c *Controller) Emulator(pid int) *emulation.Emulator { return c.emus[pid] 
 // Races runs the race detector over the execution (§6.4), sharded across
 // the worker pool, and memoizes the result: the parallel graph is immutable
 // post-run, so the detector runs at most once per controller. The race set
-// is identical to race.Indexed's (the detectors are golden-equivalent).
+// is identical to race.Naive's (the detectors are golden-equivalent).
 //
 // Unless Config.NoStaticPrune is set, the detector is filtered by the
 // static conflict matrix of the artifacts' one vet result (Artifacts.Vet:
@@ -259,7 +259,7 @@ func (c *Controller) Races() []*race.Race {
 		if !c.noPrune {
 			mask = c.Art.Vet(c.obs).Conflicts.Mask()
 		}
-		c.races = race.ParallelMasked(c.pgraph, c.pool.Workers(), mask, c.obs)
+		c.races = race.Detect(c.pgraph, race.Opts{Workers: c.pool.Workers(), Mask: mask, Sink: c.obs})
 		c.racesDone = true
 	}
 	return c.races

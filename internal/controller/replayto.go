@@ -11,7 +11,8 @@ import (
 // DefaultCheckpointEvery is the default record spacing between ReplayTo
 // state checkpoints. At K = 64 a checkpoint costs one shallow copy of the
 // global fold state per 64 records, and any restore folds at most 63
-// records past its seed — the sweet spot in the E22 sweep (BENCH_debug).
+// records past its seed — the sweet spot in the E22 sweep
+// (BenchmarkReplayTo).
 const DefaultCheckpointEvery = 64
 
 // ckpt is one restoration checkpoint: the postlog fold state as of record

@@ -152,9 +152,9 @@ func checkProgram(t *testing.T, seed int64, src string, parallelMode bool) {
 	// 5. Race detectors agree.
 	if parallelMode {
 		g := parallel.Build(vLog.Log, len(inst.Prog.Globals))
-		naive, indexed := race.Naive(g), race.Indexed(g)
-		if len(naive) != len(indexed) {
-			t.Errorf("seed %d: naive=%d indexed=%d races", seed, len(naive), len(indexed))
+		naive, detected := race.Naive(g), race.Detect(g, race.Opts{})
+		if len(naive) != len(detected) {
+			t.Errorf("seed %d: naive=%d detected=%d races", seed, len(naive), len(detected))
 		}
 	}
 }
@@ -186,18 +186,18 @@ func TestGeneratedRacyPrograms(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		g := parallel.Build(v.Log, len(art.Prog.Globals))
-		naive, indexed := race.Naive(g), race.Indexed(g)
-		if len(indexed) == 0 {
+		naive, detected := race.Naive(g), race.Detect(g, race.Opts{})
+		if len(detected) == 0 {
 			t.Errorf("seed %d: unsynchronized workers must race\n%s", seed, src)
 			continue
 		}
-		if len(naive) != len(indexed) {
-			t.Errorf("seed %d: naive=%d indexed=%d", seed, len(naive), len(indexed))
+		if len(naive) != len(detected) {
+			t.Errorf("seed %d: naive=%d detected=%d", seed, len(naive), len(detected))
 			continue
 		}
 		for i := range naive {
-			if naive[i].Kind != indexed[i].Kind ||
-				naive[i].E1.ID != indexed[i].E1.ID || naive[i].E2.ID != indexed[i].E2.ID {
+			if naive[i].Kind != detected[i].Kind ||
+				naive[i].E1.ID != detected[i].E1.ID || naive[i].E2.ID != detected[i].E2.ID {
 				t.Errorf("seed %d: race %d differs", seed, i)
 			}
 		}

@@ -1,6 +1,7 @@
 package race
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,31 +39,14 @@ func renderAll(rs []*Race) string {
 }
 
 // TestMaskedEquivalentToUnfiltered pins the static filter's soundness
-// end to end: on every workload and seed, the masked Indexed and Parallel
-// detectors report byte-identical races to the unfiltered Indexed.
+// end to end: on every workload and seed, Detect with the program's mask
+// reports byte-identical races to the unfiltered scan and to Naive, at
+// every width (checkDetectEquivalent).
 func TestMaskedEquivalentToUnfiltered(t *testing.T) {
 	for _, wl := range pruneCases() {
 		for _, seed := range []int64{0, 3} {
-			art, err := compile.CompileSource(wl.Name, wl.Src, eblock.DefaultConfig())
-			if err != nil {
-				t.Fatalf("compile %s: %v", wl.Name, err)
-			}
-			v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: seed, Quantum: 7})
-			if err := v.Run(); err != nil {
-				t.Fatalf("run %s: %v", wl.Name, err)
-			}
-			g := parallel.Build(v.Log, len(art.Prog.Globals))
-			mask := analysis.Analyze(art.PDG, art.Prog, nil).Conflicts.Mask()
-
-			want := renderAll(Indexed(g))
-			if got := renderAll(IndexedMasked(g, mask, nil)); got != want {
-				t.Errorf("%s seed %d: IndexedMasked diverges\nmask: %s\ngot:\n%swant:\n%s",
-					wl.Name, seed, mask, got, want)
-			}
-			if got := renderAll(ParallelMasked(g, 4, mask, nil)); got != want {
-				t.Errorf("%s seed %d: ParallelMasked diverges\nmask: %s\ngot:\n%swant:\n%s",
-					wl.Name, seed, mask, got, want)
-			}
+			g, art := buildGraph(t, wl, eblock.DefaultConfig(), 7, seed)
+			checkDetectEquivalent(t, fmt.Sprintf("%s seed %d", wl.Name, seed), g, staticMask(art))
 		}
 	}
 }
@@ -82,11 +66,9 @@ func TestMaskPrunesShardedBuckets(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	g := parallel.Build(v.Log, len(art.Prog.Globals))
-	res := analysis.Analyze(art.PDG, art.Prog, nil)
-	mask := res.Conflicts.Mask()
 
 	sink := obs.New()
-	races := IndexedMasked(g, mask, sink)
+	races := Detect(g, Opts{Mask: staticMask(art), Sink: sink})
 	if len(races) != 0 {
 		t.Fatalf("sharded workload should be race-free, got %d races", len(races))
 	}
@@ -127,7 +109,7 @@ func TestLocksetPrunesGuardedCounter(t *testing.T) {
 	}
 	g := parallel.Build(v.Log, len(art.Prog.Globals))
 	sink := obs.New()
-	if races := IndexedMasked(g, mask, sink); len(races) != 0 {
+	if races := Detect(g, Opts{Mask: mask, Sink: sink}); len(races) != 0 {
 		t.Fatalf("guarded counter must be race-free, got %d races", len(races))
 	}
 	if pairs := sink.Snapshot().Counters["race.pairs"]; pairs != 0 {
@@ -163,7 +145,7 @@ func TestRaceNamesFromGraph(t *testing.T) {
 		names[gid] = def.Name
 	}
 	g.VarNames = names
-	races := Indexed(g)
+	races := Detect(g, Opts{})
 	if len(races) == 0 {
 		t.Fatal("expected races on the unprotected counter")
 	}
@@ -182,8 +164,8 @@ func TestRaceNamesFromGraph(t *testing.T) {
 }
 
 // BenchmarkRacePruned measures the masked detector on the conflict-sparse
-// sharded workload against the unfiltered baseline (BenchmarkRaceIndexed
-// shape); E16 reports the same comparison.
+// sharded workload against the unfiltered baseline, both on one worker
+// (BenchmarkRaceIndexed shape); E16 reports the same comparison.
 func BenchmarkRacePruned(b *testing.B) {
 	wl := workloads.Sharded(8, 120)
 	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
@@ -198,12 +180,12 @@ func BenchmarkRacePruned(b *testing.B) {
 	mask := analysis.Analyze(art.PDG, art.Prog, nil).Conflicts.Mask()
 	b.Run("unfiltered", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Indexed(g)
+			Detect(g, Opts{Workers: 1})
 		}
 	})
 	b.Run("masked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			IndexedMasked(g, mask, nil)
+			Detect(g, Opts{Workers: 1, Mask: mask})
 		}
 	})
 }

@@ -7,10 +7,11 @@
 // from different processes — the quadratic cost the paper's §7 names as the
 // open problem ("finding all pairs of possible conflicting edges is more
 // expensive ... we are currently investigating algorithms to reduce the
-// cost"). Indexed is such an algorithm: it buckets edges by the shared
-// variable they touch, so only edges that can possibly conflict are ever
-// compared, and each comparison is an O(P) vector-clock check. Experiment
-// E8 benchmarks the two against each other.
+// cost") and stays as the oracle. Detect is such an algorithm and the one
+// entry point every caller uses: it buckets edges by the shared variable
+// they touch, so only edges that can possibly conflict are ever compared,
+// and each comparison is an O(P) vector-clock check. Experiment E8
+// benchmarks the two against each other.
 package race
 
 import (
@@ -240,33 +241,24 @@ func scanVars(g *parallel.Graph, readers, writers [][]*parallel.InternalEdge, lo
 	return out
 }
 
-// Indexed buckets edges per shared variable (separately for readers and
-// writers), then tests only pairs sharing a variable — the candidate set
-// Definition 6.3 can ever accept. For typical programs the buckets are
-// small, eliminating the quadratic sweep over unrelated edges.
-func Indexed(g *parallel.Graph) []*Race { return IndexedObs(g, nil) }
-
-// IndexedObs is Indexed reporting detector metrics to sink: candidate
-// pairs tested ("race.pairs"), races found ("race.races"), and detection
-// time (the "debug.race" scope). A nil sink disables observation.
-func IndexedObs(g *parallel.Graph, sink *obs.Sink) []*Race {
-	return IndexedMasked(g, nil, sink)
-}
-
-// IndexedMasked is Indexed with an optional static conflict filter: when
-// mask is non-nil, per-variable buckets outside it are skipped without
-// scanning ("race.buckets.pruned" counts them). The mask must
-// over-approximate the statically-possible conflicts (analysis.
-// ConflictMatrix.Mask does); the result is then identical to the
-// unfiltered detector's. A nil mask scans everything.
-func IndexedMasked(g *parallel.Graph, mask *bitset.Set, sink *obs.Sink) []*Race {
-	sc := sink.Scope("debug.race")
-	defer sc.End()
-	readers, writers := buckets(g)
-	var pairs, pruned int64
-	out := dedup(scanVars(g, readers, writers, 0, g.NumShared(), mask, &pairs, &pruned))
-	record(sink, pairs, pruned, len(out))
-	return out
+// Opts configures Detect. The zero value scans every bucket on GOMAXPROCS
+// workers with observation off.
+type Opts struct {
+	// Workers bounds the scan's fan-out: <= 0 selects GOMAXPROCS, and one
+	// worker (or one variable) runs the scan inline with no goroutines.
+	Workers int
+	// Mask, when non-nil, is the static conflict filter: per-variable
+	// buckets outside it are skipped without scanning
+	// ("race.buckets.pruned" counts them). It must over-approximate the
+	// statically-possible conflicts (analysis.ConflictMatrix.Mask does);
+	// the result is then identical to the unfiltered scan's.
+	Mask *bitset.Set
+	// Sink receives the detector metrics: candidate pairs tested
+	// ("race.pairs"), races found ("race.races"), pruned buckets, runs
+	// ("race.runs"), and detection time (the "debug.race" scope). Each
+	// worker counts in plain locals folded in once after the merge, so the
+	// hot scan never touches an atomic. A nil sink disables observation.
+	Sink *obs.Sink
 }
 
 // chunkScan is one worker's share of a sharded scan: the races plus the
@@ -277,37 +269,23 @@ type chunkScan struct {
 	pruned int64
 }
 
-// Parallel is Indexed with the per-variable buckets sharded across a
-// bounded worker pool: each worker scans a contiguous range of shared
-// variables (the buckets are independent by construction), the per-worker
-// race slices are merged in variable order, and dedup canonicalizes —
-// so the result is identical to Indexed's, slice order included. workers
-// <= 0 selects GOMAXPROCS; one worker (or one variable) degenerates to
-// the sequential scan with no goroutines.
-func Parallel(g *parallel.Graph, workers int) []*Race {
-	return ParallelObs(g, workers, nil)
-}
-
-// ParallelObs is Parallel reporting detector metrics to sink (see
-// IndexedObs). Each worker counts pairs in a plain local; the counts are
-// folded into the sink once after the merge, so the hot scan never
-// touches an atomic. A nil sink disables observation.
-func ParallelObs(g *parallel.Graph, workers int, sink *obs.Sink) []*Race {
-	return ParallelMasked(g, workers, nil, sink)
-}
-
-// ParallelMasked is Parallel with the same optional static conflict
-// filter as IndexedMasked; pruning happens inside each worker's variable
-// range, so the sharding (and therefore the merged, deduped result) is
-// unchanged.
-func ParallelMasked(g *parallel.Graph, workers int, mask *bitset.Set, sink *obs.Sink) []*Race {
-	sc := sink.Scope("debug.race")
+// Detect buckets edges per shared variable (separately for readers and
+// writers), then tests only pairs sharing a variable — the candidate set
+// Definition 6.3 can ever accept — eliminating the quadratic sweep over
+// unrelated edges. The buckets are independent by construction, so they
+// are sharded across a bounded worker pool: each worker scans a contiguous
+// range of variables (pruning by Mask inside its range), the per-worker
+// race slices are merged in variable order, and dedup canonicalizes — so
+// the result is identical to Naive's, slice order included, at every
+// width and with or without the mask.
+func Detect(g *parallel.Graph, o Opts) []*Race {
+	sc := o.Sink.Scope("debug.race")
 	defer sc.End()
 	readers, writers := buckets(g)
-	parts := sched.ChunkMap(sched.NewObs(workers, sink), g.NumShared(),
+	parts := sched.ChunkMap(sched.NewObs(o.Workers, o.Sink), g.NumShared(),
 		func(lo, hi int) chunkScan {
 			var cs chunkScan
-			cs.races = scanVars(g, readers, writers, lo, hi, mask, &cs.pairs, &cs.pruned)
+			cs.races = scanVars(g, readers, writers, lo, hi, o.Mask, &cs.pairs, &cs.pruned)
 			return cs
 		})
 	var all []*Race
@@ -318,7 +296,7 @@ func ParallelMasked(g *parallel.Graph, workers int, mask *bitset.Set, sink *obs.
 		pruned += part.pruned
 	}
 	out := dedup(all)
-	record(sink, pairs, pruned, len(out))
+	record(o.Sink, pairs, pruned, len(out))
 	return out
 }
 
@@ -364,7 +342,7 @@ func dedup(rs []*Race) []*Race {
 
 // RaceFree implements Definition 6.4 for an execution instance.
 func RaceFree(g *parallel.Graph) bool {
-	return len(Indexed(g)) == 0
+	return len(Detect(g, Opts{})) == 0
 }
 
 // reportLineBytes estimates one report line: the fixed text plus six

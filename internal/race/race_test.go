@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ppd/internal/analysis"
 	"ppd/internal/bitset"
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
@@ -17,17 +18,51 @@ import (
 
 func detect(t *testing.T, src string, opts vm.Options) ([]*Race, *parallel.Graph, *compile.Artifacts) {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, eblock.Config{})
+	g, art := buildGraph(t, &workloads.Workload{Name: "test.mpl", Src: src}, eblock.Config{}, opts.Quantum, opts.Seed)
+	return Detect(g, Opts{}), g, art
+}
+
+// buildGraph compiles wl under cfg, runs it logged under (quantum, seed),
+// and returns the parallel graph with the artifacts.
+func buildGraph(tb testing.TB, wl *workloads.Workload, cfg eblock.Config, quantum int, seed int64) (*parallel.Graph, *compile.Artifacts) {
+	tb.Helper()
+	art, err := compile.CompileSource(wl.Name, wl.Src, cfg)
 	if err != nil {
-		t.Fatalf("compile: %v", err)
+		tb.Fatalf("%s: compile: %v", wl.Name, err)
 	}
-	opts.Mode = vm.ModeLog
-	v := vm.New(art.Prog, opts)
+	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: quantum, Seed: seed})
 	if err := v.Run(); err != nil {
-		t.Fatalf("run: %v", err)
+		tb.Fatalf("%s: run: %v", wl.Name, err)
 	}
-	g := parallel.Build(v.Log, len(art.Prog.Globals))
-	return Indexed(g), g, art
+	return parallel.Build(v.Log, len(art.Prog.Globals)), art
+}
+
+// staticMask is the program's static conflict mask, the filter the
+// controller and `ppd races` pass to Detect.
+func staticMask(art *compile.Artifacts) *bitset.Set {
+	return analysis.Analyze(art.PDG, art.Prog, nil).Conflicts.Mask()
+}
+
+// detectWidths are the worker counts every equivalence check covers.
+var detectWidths = []int{1, 2, 4, 8}
+
+// checkDetectEquivalent is the cross-detector golden contract: Detect at
+// every width, unfiltered and filtered by mask, must render the exact race
+// set of the Naive oracle — same order, same pairs, same kinds, same
+// variables. It returns the oracle's races.
+func checkDetectEquivalent(t *testing.T, ctx string, g *parallel.Graph, mask *bitset.Set) []*Race {
+	t.Helper()
+	naive := Naive(g)
+	want := renderAll(naive)
+	for _, workers := range detectWidths {
+		for _, m := range []*bitset.Set{nil, mask} {
+			if got := renderAll(Detect(g, Opts{Workers: workers, Mask: m})); got != want {
+				t.Errorf("%s workers %d mask %v: Detect diverges from Naive\ngot:\n%swant:\n%s",
+					ctx, workers, m, got, want)
+			}
+		}
+	}
+	return naive
 }
 
 // TestSection63Race reproduces the paper's §6.3 example: SV written in
@@ -173,56 +208,6 @@ func main() {
 	}
 }
 
-func TestNaiveAndIndexedAgree(t *testing.T) {
-	srcs := []string{
-		// racy
-		`
-shared a; shared b;
-sem done = 0;
-func w1() { a = 1; b = a + 1; V(done); }
-func w2() { b = 2; a = b * 3; V(done); }
-func main() { spawn w1(); spawn w2(); P(done); P(done); }`,
-		// race-free
-		`
-shared a;
-sem m = 1;
-sem done = 0;
-func w() { P(m); a = a + 1; V(m); V(done); }
-func main() { spawn w(); spawn w(); P(done); P(done); }`,
-		// disjoint variables: no conflicts at all
-		`
-shared a; shared b;
-sem done = 0;
-func w1() { a = 1; V(done); }
-func w2() { b = 2; V(done); }
-func main() { spawn w1(); spawn w2(); P(done); P(done); }`,
-	}
-	for i, src := range srcs {
-		for _, seed := range []int64{0, 4} {
-			art, err := compile.CompileSource("agree.mpl", src, eblock.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: seed, Quantum: 1})
-			if err := v.Run(); err != nil {
-				t.Fatal(err)
-			}
-			g := parallel.Build(v.Log, len(art.Prog.Globals))
-			naive := Naive(g)
-			indexed := Indexed(g)
-			if len(naive) != len(indexed) {
-				t.Errorf("src %d seed %d: naive=%d indexed=%d races", i, seed, len(naive), len(indexed))
-				continue
-			}
-			for k := range naive {
-				if naive[k].key() != indexed[k].key() || naive[k].Kind != indexed[k].Kind {
-					t.Errorf("src %d seed %d: race %d differs: %v vs %v", i, seed, k, naive[k], indexed[k])
-				}
-			}
-		}
-	}
-}
-
 func TestRaceOnArray(t *testing.T) {
 	src := `
 shared buf[4];
@@ -276,11 +261,49 @@ func TestReportRendering(t *testing.T) {
 	_ = logging.OpP
 }
 
-// TestDetectorsEquivalence is the cross-detector golden contract: Naive,
-// Indexed, and Parallel (at several worker counts) must return identical
-// race sets — same order, same pairs, same kinds, same variables — on every
-// standard workload and on a seeded racy one. Determinism is the product:
-// the parallel detector is only admissible because of this test.
+// agreeSources are small hand-written programs for the detector
+// equivalence check: racy, lock-protected, and conflict-free.
+var agreeSources = []string{
+	// racy
+	`
+shared a; shared b;
+sem done = 0;
+func w1() { a = 1; b = a + 1; V(done); }
+func w2() { b = 2; a = b * 3; V(done); }
+func main() { spawn w1(); spawn w2(); P(done); P(done); }`,
+	// race-free
+	`
+shared a;
+sem m = 1;
+sem done = 0;
+func w() { P(m); a = a + 1; V(m); V(done); }
+func main() { spawn w(); spawn w(); P(done); P(done); }`,
+	// disjoint variables: no conflicts at all
+	`
+shared a; shared b;
+sem done = 0;
+func w1() { a = 1; V(done); }
+func w2() { b = 2; V(done); }
+func main() { spawn w1(); spawn w2(); P(done); P(done); }`,
+}
+
+// TestNaiveAndIndexedAgree holds Detect to the Naive oracle
+// (checkDetectEquivalent) on the hand-written agreeSources under two
+// seeds.
+func TestNaiveAndIndexedAgree(t *testing.T) {
+	for i, src := range agreeSources {
+		wl := &workloads.Workload{Name: fmt.Sprintf("agree%d", i), Src: src}
+		for _, seed := range []int64{0, 4} {
+			g, art := buildGraph(t, wl, eblock.Config{}, 1, seed)
+			checkDetectEquivalent(t, fmt.Sprintf("%s seed %d", wl.Name, seed), g, staticMask(art))
+		}
+	}
+}
+
+// TestDetectorsEquivalence holds Detect to the Naive oracle
+// (checkDetectEquivalent) on every standard workload and on seeded racy
+// and sharded ones. Determinism is the product: the parallel scan is only
+// admissible because of this test.
 func TestDetectorsEquivalence(t *testing.T) {
 	type caseDef struct {
 		wl      *workloads.Workload
@@ -298,131 +321,81 @@ func TestDetectorsEquivalence(t *testing.T) {
 		caseDef{workloads.Sharded(4, 8), 3, 0},
 	)
 	for _, tc := range cases {
-		art, err := compile.CompileSource(tc.wl.Name, tc.wl.Src, eblock.Config{})
-		if err != nil {
-			t.Fatalf("%s: compile: %v", tc.wl.Name, err)
-		}
-		v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: tc.quantum, Seed: tc.seed})
-		if err := v.Run(); err != nil {
-			t.Fatalf("%s: run: %v", tc.wl.Name, err)
-		}
-		g := parallel.Build(v.Log, len(art.Prog.Globals))
-		want := Indexed(g)
-		if naive := Naive(g); !sameRaces(want, naive) {
-			t.Errorf("%s seed %d: Naive diverges from Indexed (%d vs %d races)",
-				tc.wl.Name, tc.seed, len(naive), len(want))
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			got := Parallel(g, workers)
-			if !sameRaces(want, got) {
-				t.Errorf("%s seed %d workers %d: Parallel diverges from Indexed (%d vs %d races)",
-					tc.wl.Name, tc.seed, workers, len(got), len(want))
-			}
-		}
+		g, art := buildGraph(t, tc.wl, eblock.Config{}, tc.quantum, tc.seed)
+		checkDetectEquivalent(t, fmt.Sprintf("%s seed %d", tc.wl.Name, tc.seed), g, staticMask(art))
 	}
-}
-
-// sameRaces compares two detector outputs element-wise: pair, kind, and
-// conflicting variables must all match in order.
-func sameRaces(a, b []*Race) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].key() != b[i].key() {
-			return false
-		}
-		if len(a[i].Vars) != len(b[i].Vars) {
-			return false
-		}
-		for j := range a[i].Vars {
-			if a[i].Vars[j] != b[i].Vars[j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // TestRacyCounterHasRacesAcrossDetectors seeds a genuinely racy workload
-// and checks all three detectors agree it races.
+// and checks the detectors agree it races.
 func TestRacyCounterHasRacesAcrossDetectors(t *testing.T) {
 	wl := workloads.RacyCounter(3, 4, false)
-	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: 1})
-	if err := v.Run(); err != nil {
-		t.Fatal(err)
-	}
-	g := parallel.Build(v.Log, len(art.Prog.Globals))
-	n, i, p := Naive(g), Indexed(g), Parallel(g, 4)
-	if len(i) == 0 {
+	g, art := buildGraph(t, wl, eblock.Config{}, 1, 0)
+	if races := checkDetectEquivalent(t, wl.Name, g, staticMask(art)); len(races) == 0 {
 		t.Fatal("unprotected counter must race")
-	}
-	if !sameRaces(i, n) || !sameRaces(i, p) {
-		t.Errorf("detectors disagree: naive=%d indexed=%d parallel=%d", len(n), len(i), len(p))
 	}
 }
 
+// checkDetectObs pins the detector metrics perfbench reads on wl run
+// logged under quantum: at every width Detect renders Naive's races,
+// reports one run, its race count and the debug.race scope, and tests the
+// same candidate pairs — the workers split the buckets, never the pairs.
+// It returns the oracle's races.
+func checkDetectObs(t *testing.T, wl *workloads.Workload, quantum int) []*Race {
+	t.Helper()
+	g, _ := buildGraph(t, wl, eblock.Config{}, quantum, 0)
+	want := Naive(g)
+	pairs := int64(-1)
+	for _, workers := range detectWidths {
+		sink := obs.New()
+		got := Detect(g, Opts{Workers: workers, Sink: sink})
+		if Report(got, gidName) != Report(want, gidName) {
+			t.Errorf("%s workers %d: Detect != Naive:\n%s\nvs\n%s",
+				wl.Name, workers, Report(got, gidName), Report(want, gidName))
+		}
+		snap := sink.Snapshot()
+		if n := snap.Counter("race.runs"); n != 1 {
+			t.Errorf("%s workers %d: race.runs = %d, want 1", wl.Name, workers, n)
+		}
+		if n := snap.Counter("race.races"); n != int64(len(want)) {
+			t.Errorf("%s workers %d: race.races = %d, want %d", wl.Name, workers, n, len(want))
+		}
+		if snap.Timer("debug.race").Count != 1 {
+			t.Errorf("%s workers %d: debug.race scope not observed", wl.Name, workers)
+		}
+		p := snap.Counter("race.pairs")
+		if p < int64(len(want)) {
+			t.Errorf("%s workers %d: race.pairs = %d, want >= %d (every race was a checked pair)",
+				wl.Name, workers, p, len(want))
+		}
+		if pairs >= 0 && p != pairs {
+			t.Errorf("%s workers %d: race.pairs = %d, want %d as at the other widths",
+				wl.Name, workers, p, pairs)
+		}
+		pairs = p
+	}
+	return want
+}
+
+// TestIndexedObsCountersAndEquivalence checks the detector metrics
+// (checkDetectObs) on a small racy program.
 func TestIndexedObsCountersAndEquivalence(t *testing.T) {
-	src := `
+	racy := &workloads.Workload{Name: "racy", Src: `
 shared a;
 shared b;
 sem done = 0;
 func w() { a = a + 1; b = b + 1; V(done); }
-func main() { spawn w(); spawn w(); P(done); P(done); }`
-	want, g, _ := detect(t, src, vm.Options{Quantum: 1})
-	if len(want) == 0 {
+func main() { spawn w(); spawn w(); P(done); P(done); }`}
+	if races := checkDetectObs(t, racy, 1); len(races) == 0 {
 		t.Fatal("test program must race")
-	}
-	sink := obs.New()
-	got := IndexedObs(g, sink)
-	if Report(got, gidName) != Report(want, gidName) {
-		t.Errorf("IndexedObs != Indexed:\n%s\nvs\n%s",
-			Report(got, gidName), Report(want, gidName))
-	}
-	snap := sink.Snapshot()
-	if n := snap.Counter("race.runs"); n != 1 {
-		t.Errorf("race.runs = %d, want 1", n)
-	}
-	if n := snap.Counter("race.races"); n != int64(len(want)) {
-		t.Errorf("race.races = %d, want %d", n, len(want))
-	}
-	if n := snap.Counter("race.pairs"); n < int64(len(want)) {
-		t.Errorf("race.pairs = %d, want >= %d (every race was a checked pair)", n, len(want))
-	}
-	if snap.Timer("debug.race").Count != 1 {
-		t.Error("debug.race scope not observed")
 	}
 }
 
+// TestParallelObsMatchesIndexedObs checks the detector metrics
+// (checkDetectObs) on the sharded shape, whose many per-variable buckets
+// spread over the workers.
 func TestParallelObsMatchesIndexedObs(t *testing.T) {
-	wl := workloads.Sharded(4, 20)
-	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: 3})
-	if err := v.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	g := parallel.Build(v.Log, len(art.Prog.Globals))
-	sinkI, sinkP := obs.New(), obs.New()
-	want := IndexedObs(g, sinkI)
-	for _, workers := range []int{1, 2, 4} {
-		got := ParallelObs(g, workers, sinkP)
-		if Report(got, gidName) != Report(want, gidName) {
-			t.Errorf("workers=%d: ParallelObs != IndexedObs", workers)
-		}
-	}
-	// Both variants checked the same universe of conflicting pairs.
-	pi := sinkI.Snapshot().Counter("race.pairs")
-	pp := sinkP.Snapshot().Counter("race.pairs")
-	if pp != 3*pi {
-		t.Errorf("parallel pairs = %d over 3 runs, indexed = %d per run", pp, pi)
-	}
+	checkDetectObs(t, workloads.Sharded(4, 20), 3)
 }
 
 func gidName(gid int) string { return fmt.Sprintf("g%d", gid) }

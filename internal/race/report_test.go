@@ -6,10 +6,8 @@ import (
 	"testing"
 
 	"ppd/internal/bitset"
-	"ppd/internal/compile"
 	"ppd/internal/eblock"
 	"ppd/internal/parallel"
-	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
 
@@ -66,19 +64,12 @@ func main() { spawn w(); spawn w(); spawn w(); P(done); P(done); P(done); }`}
 // the parallel graph and the program's global names.
 func logGraph(tb testing.TB, wl *workloads.Workload, quantum int, seed int64) (*parallel.Graph, []string) {
 	tb.Helper()
-	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
-	if err != nil {
-		tb.Fatalf("%s: compile: %v", wl.Name, err)
-	}
-	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: quantum, Seed: seed})
-	if err := v.Run(); err != nil {
-		tb.Fatalf("%s: run: %v", wl.Name, err)
-	}
+	g, art := buildGraph(tb, wl, eblock.Config{}, quantum, seed)
 	names := make([]string, len(art.Prog.Globals))
 	for gid, def := range art.Prog.Globals {
 		names[gid] = def.Name
 	}
-	return parallel.Build(v.Log, len(art.Prog.Globals)), names
+	return g, names
 }
 
 // TestReportByteIdentical holds Report to the fmt reference across the
@@ -91,9 +82,9 @@ func TestReportByteIdentical(t *testing.T) {
 		for _, quantum := range []int{1, 3} {
 			for _, seed := range []int64{0, 5} {
 				g, names := logGraph(t, wl, quantum, seed)
-				bare := Indexed(g)
+				bare := Detect(g, Opts{})
 				g.VarNames = names
-				named := Indexed(g)
+				named := Detect(g, Opts{})
 				namer := func(gid int) string { return names[gid] }
 				for _, r := range bare {
 					multiVar = multiVar || len(r.Vars) > 1
@@ -149,7 +140,7 @@ func TestReportByteIdenticalEdgeCases(t *testing.T) {
 // size (thousands of races) through a namer, as Controller.RaceReport does.
 func BenchmarkRaceReport(b *testing.B) {
 	g, names := logGraph(b, workloads.RacyTicker(4, 60), 3, 1)
-	races := Indexed(g)
+	races := Detect(g, Opts{})
 	namer := func(gid int) string { return names[gid] }
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,6 +1,6 @@
 // Package sched is the debugging phase's shared worker pool: a small,
 // bounded fan-out primitive used by parallel graph construction
-// (parallel.Build), the parallel race detector (race.Parallel), and the
+// (parallel.Build), the parallel race detector (race.Detect), and the
 // Controller's cache prefetching.
 //
 // The paper's §7 leaves "reducing the cost of finding all pairs of possible

@@ -104,9 +104,8 @@ func feedBatches(p *stream.Pipeline, recs []parallel.FeedRecord, batch int) {
 // TestOnlineRacesByteIdentical is the pipeline's acceptance gate: over
 // the full workload × (seed, quantum) matrix, the online detector's final
 // race set — fed at every batch size — renders byte-identically
-// (race.Report) to the batch oracle, and the batch oracle itself is
-// agreed on by the indexed and parallel detectors at several worker
-// widths. The batch path stays the golden reference; streaming is an
+// (race.Report) to the batch oracle, and the batch oracle itself
+// (race.Detect) agrees with itself at several worker widths. The batch path stays the golden reference; streaming is an
 // execution strategy, not a different answer.
 func TestOnlineRacesByteIdentical(t *testing.T) {
 	cases := workloads.Standard()
@@ -128,11 +127,11 @@ func TestOnlineRacesByteIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/s%d_q%d", wl.Name, cfg.seed, cfg.quantum), func(t *testing.T) {
 				cr := captureRun(t, wl.Name+".mpl", wl.Src, cfg.seed, cfg.quantum)
 				g := cr.oracleGraph()
-				want := race.Report(race.IndexedMasked(g, cr.mask, nil), nil)
+				want := race.Report(race.Detect(g, race.Opts{Workers: 1, Mask: cr.mask}), nil)
 				for _, w := range workers {
-					got := race.Report(race.ParallelMasked(g, w, cr.mask, nil), nil)
+					got := race.Report(race.Detect(g, race.Opts{Workers: w, Mask: cr.mask}), nil)
 					if got != want {
-						t.Fatalf("parallel oracle (workers=%d) diverges:\n got: %swant: %s", w, got, want)
+						t.Fatalf("batch oracle (workers=%d) diverges:\n got: %swant: %s", w, got, want)
 					}
 				}
 				for _, b := range batches {
@@ -196,7 +195,7 @@ func FuzzStreamBatches(f *testing.F) {
 	wl := workloads.RacyCounter(3, 10, false)
 	cr := captureRun(f, wl.Name+".mpl", wl.Src, 2, 3)
 	g := cr.oracleGraph()
-	want := race.Report(race.IndexedMasked(g, cr.mask, nil), nil)
+	want := race.Report(race.Detect(g, race.Opts{Workers: 1, Mask: cr.mask}), nil)
 
 	f.Add([]byte{1})
 	f.Add([]byte{7, 1, 255})

@@ -97,7 +97,7 @@ func TestLogGoldenFusedVsUnfused(t *testing.T) {
 
 // raceReport renders the detector output for one logged run so two runs
 // can be compared as strings.
-func raceReport(t testing.TB, name, src string, cfg eblock.Config, tab *bytecode.FusionTable, seed int64, quantum int) (naive, indexed string) {
+func raceReport(t testing.TB, name, src string, cfg eblock.Config, tab *bytecode.FusionTable, seed int64, quantum int) (naive, detected string) {
 	t.Helper()
 	art, err := compile.CompileFusedSource(name, src, cfg, tab)
 	if err != nil {
@@ -112,7 +112,7 @@ func raceReport(t testing.TB, name, src string, cfg eblock.Config, tab *bytecode
 	for _, r := range race.Naive(g) {
 		fmt.Fprintln(&a, r)
 	}
-	for _, r := range race.Indexed(g) {
+	for _, r := range race.Detect(g, race.Opts{}) {
 		fmt.Fprintln(&b, r)
 	}
 	return a.String(), b.String()
@@ -134,7 +134,7 @@ func TestRacesFusedVsUnfused(t *testing.T) {
 				t.Errorf("naive race report differs\nfused:\n%s\nunfused:\n%s", fn, pn)
 			}
 			if fi != pi {
-				t.Errorf("indexed race report differs\nfused:\n%s\nunfused:\n%s", fi, pi)
+				t.Errorf("Detect race report differs\nfused:\n%s\nunfused:\n%s", fi, pi)
 			}
 		})
 	}

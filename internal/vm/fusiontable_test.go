@@ -43,10 +43,15 @@ func profileFusionHits(t *testing.T) []int64 {
 
 // TestFusionTableFresh pins the checked-in profile-guided fusion table to
 // what profiling the standard workloads produces today, mirroring the
-// golden-log workflow: PPD_UPDATE_FUSION=1 regenerates
-// internal/bytecode/fusiontable_gen.go, and CI fails on any diff so the
-// table can never silently go stale. It lives in internal/vm (not
-// bytecode) because profiling needs the compiler and the VM.
+// golden-log workflow: CI fails on any diff so the table can never
+// silently go stale. Refresh the table deliberately, from the repo root,
+// with
+//
+//	PPD_UPDATE_FUSION=1 go test ./internal/vm -run TestFusionTableFresh
+//
+// which rewrites internal/bytecode/fusiontable_gen.go. It lives in
+// internal/vm (not bytecode) because profiling needs the compiler and the
+// VM.
 func TestFusionTableFresh(t *testing.T) {
 	want := bytecode.FormatFusionTableSource(profileFusionHits(t))
 	path := filepath.Join("..", "bytecode", "fusiontable_gen.go")

@@ -140,7 +140,7 @@ type Options struct {
 	// NoFusion disables the bytecode fusion pass for CompileOpts: the
 	// program runs on plain single-opcode dispatch. The observable
 	// behavior — output, logs, races, vet — is identical either way; the
-	// switch exists for measurement (`ppdbench dispatch`) and as an
+	// switch exists for measurement (the E18 dispatch benchmarks) and as an
 	// escape hatch. Fused and unfused compiles never share a persistent
 	// cache entry (the fusion fingerprint is part of the cache key).
 	NoFusion bool

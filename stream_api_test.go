@@ -2,6 +2,7 @@ package ppd
 
 import (
 	"context"
+	"io"
 	"sync/atomic"
 	"testing"
 
@@ -93,6 +94,43 @@ func TestStopAtFirstRaceAborts(t *testing.T) {
 	}
 	if online, batch := aborted.OnlineRaceReport(), aborted.RaceReport(); online != batch {
 		t.Errorf("partial-log online report diverges from batch:\n--- online\n%s--- batch\n%s", online, batch)
+	}
+}
+
+// BenchmarkFirstRace is E20's early-abort half: a full monitored run
+// against Options.StopAtFirstRace, on a racy workload that syncs every
+// iteration (racy-ticker: its race surfaces within the first few) and on
+// one whose workers are each one long edge (racy-counter: the abort can
+// only fire near the end). steps reports the VM steps one run executed.
+func BenchmarkFirstRace(b *testing.B) {
+	for _, wl := range []*workloads.Workload{
+		workloads.RacyTicker(3, 2000),
+		workloads.RacyCounter(3, 2000, false),
+	} {
+		prog, err := Compile(wl.Name+".mpl", wl.Src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, variant := range []struct {
+			name string
+			opts Options
+		}{
+			{"full", Options{Quantum: 3, Monitor: true, Output: io.Discard}},
+			{"first-race", Options{Quantum: 3, StopAtFirstRace: true, Output: io.Discard}},
+		} {
+			b.Run(wl.Name+"/"+variant.name, func(b *testing.B) {
+				var exec *Execution
+				for i := 0; i < b.N; i++ {
+					if exec, err = prog.RunLogged(variant.opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if variant.opts.StopAtFirstRace && !exec.StoppedAtRace() {
+					b.Fatal("StopAtFirstRace run did not stop at a race")
+				}
+				b.ReportMetric(float64(exec.Stats().Counter("exec.steps")), "steps")
+			})
+		}
 	}
 }
 
