@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check cover ci bench bench-smoke vet-mpl serve-smoke stream-smoke perfbench-smoke
+.PHONY: all build test race vet fmt check cover ci bench bench-smoke vet-mpl serve-smoke stream-smoke examples-smoke perfbench-smoke
 
 all: build
 
@@ -55,7 +55,7 @@ vet-mpl: build
 	fi
 	@echo "vet-mpl: OK"
 
-ci: check cover bench-smoke vet-mpl serve-smoke stream-smoke perfbench-smoke
+ci: check cover bench-smoke vet-mpl serve-smoke stream-smoke examples-smoke perfbench-smoke
 	@echo "ci: OK"
 
 # Online-pipeline gate: a live monitored run end-to-end (ppd watch) and
@@ -67,6 +67,20 @@ stream-smoke: build
 		echo "stream-smoke: run -first-race must exit nonzero on racy.mpl"; exit 1; \
 	fi
 	@echo "stream-smoke: OK"
+
+# Example gate: each examples/<name> program must print exactly its
+# checked-in examples/<name>/output.golden. The examples are walkthroughs
+# of the public API, so any change to what they print shows up here.
+examples-smoke:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	for dir in examples/*/; do \
+		name=$$(basename "$$dir"); \
+		$(GO) run "./$$dir" > "$$tmp" || exit 1; \
+		if ! diff -u "$${dir}output.golden" "$$tmp"; then \
+			echo "examples-smoke: $$name output differs from its golden"; exit 1; \
+		fi; \
+	done
+	@echo "examples-smoke: OK"
 
 # Daemon liveness gate: start `ppd serve` on an ephemeral port, drive one
 # session through the whole HTTP surface (create → races → flowback →

@@ -27,7 +27,7 @@ import (
 
 func mustCompile(b *testing.B, w *workloads.Workload, cfg eblock.Config) *compile.Artifacts {
 	b.Helper()
-	art, err := compile.CompileSource(w.Name, w.Src, cfg)
+	art, err := compile.Compile(source.NewFile(w.Name, w.Src), compile.Opts{Config: cfg})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func mustCompile(b *testing.B, w *workloads.Workload, cfg eblock.Config) *compil
 
 func mustCompileBare(b *testing.B, w *workloads.Workload) *compile.Artifacts {
 	b.Helper()
-	art, err := compile.CompileBareSource(w.Name, w.Src)
+	art, err := compile.CompileBare(source.NewFile(w.Name, w.Src))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func BenchmarkEmulateCached(b *testing.B) {
 	w := workloads.Divide(11)
 	art := mustCompile(b, w, eblock.DefaultConfig())
 	v := runVM(b, art, vm.ModeLog)
-	c := controller.FromRun(art, v)
+	c := controller.New(art, v.Log, controller.Config{Failure: v.Failure, Deadlock: v.Deadlock})
 	idx, err := c.FocusInterval(0)
 	if err != nil {
 		b.Fatal(err)
@@ -342,7 +342,7 @@ func BenchmarkCompileParallel(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := compile.CompileSequential(source.NewFile(w.Name, w.Src), cfg); err != nil {
+			if _, err := compile.Compile(source.NewFile(w.Name, w.Src), compile.Opts{Config: cfg, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -351,7 +351,7 @@ func BenchmarkCompileParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := compile.CompileWorkers(source.NewFile(w.Name, w.Src), cfg, workers, nil); err != nil {
+				if _, err := compile.Compile(source.NewFile(w.Name, w.Src), compile.Opts{Config: cfg, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -368,20 +368,20 @@ func BenchmarkCompileCached(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := compile.CompileWorkers(source.NewFile(w.Name, w.Src), cfg, 0, nil); err != nil {
+			if _, err := compile.Compile(source.NewFile(w.Name, w.Src), compile.Opts{Config: cfg}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		dir := b.TempDir()
-		if _, err := compile.CompileCached(source.NewFile(w.Name, w.Src), cfg, dir, 0, nil); err != nil {
+		if _, err := compile.Compile(source.NewFile(w.Name, w.Src), compile.Opts{Config: cfg, CacheDir: dir}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			art, err := compile.CompileCached(source.NewFile(w.Name, w.Src), cfg, dir, 0, nil)
+			art, err := compile.Compile(source.NewFile(w.Name, w.Src), compile.Opts{Config: cfg, CacheDir: dir})
 			if err != nil {
 				b.Fatal(err)
 			}

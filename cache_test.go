@@ -2,6 +2,7 @@ package ppd
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ type runResult struct {
 func observe(t *testing.T, prog *Program) runResult {
 	t.Helper()
 	var out bytes.Buffer
-	exec, err := prog.RunLogged(Options{Seed: 3, Output: &out})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{Seed: 3, Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestCacheColdWarmIdentical(t *testing.T) {
 	t.Setenv("PPD_CACHE_DIR", "") // isolate from the environment
 	dir := t.TempDir()
 	for name, src := range cacheTestSources(t) {
-		fresh, err := Compile(name, src)
+		fresh, err := CompileOpts(name, src, eblock.DefaultConfig(), Options{})
 		if err != nil {
 			t.Fatalf("%s: fresh compile: %v", name, err)
 		}
@@ -131,7 +132,7 @@ func TestCacheWarmDebugging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := warm.RunLogged(Options{})
+	exec, err := warm.RunLoggedContext(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestCacheWarmDebugging(t *testing.T) {
 func TestCacheEnvVar(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("PPD_CACHE_DIR", dir)
-	if _, err := Compile("env.mpl", `func main() { print(7); }`); err != nil {
+	if _, err := CompileOpts("env.mpl", `func main() { print(7); }`, eblock.DefaultConfig(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := filepath.Glob(filepath.Join(dir, "*.ppdc"))
@@ -163,7 +164,7 @@ func TestCacheEnvVar(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("cache entries after env-var compile = %d, want 1", len(entries))
 	}
-	warm, err := Compile("env.mpl", `func main() { print(7); }`)
+	warm, err := CompileOpts("env.mpl", `func main() { print(7); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestCacheEnvVar(t *testing.T) {
 func debugView(t *testing.T, prog *Program) string {
 	t.Helper()
 	const maxIntervals = 12
-	exec, err := prog.RunLogged(Options{Seed: 3, Quantum: 3})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{Seed: 3, Quantum: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestHydrateContract(t *testing.T) {
 	t.Setenv("PPD_CACHE_DIR", "")
 	dir := t.TempDir()
 	for name, src := range cacheTestSources(t) {
-		fresh, err := Compile(name, src)
+		fresh, err := CompileOpts(name, src, eblock.DefaultConfig(), Options{})
 		if err != nil {
 			t.Fatalf("%s: fresh compile: %v", name, err)
 		}

@@ -17,21 +17,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ppd"
-	"ppd/internal/ast"
 	"ppd/internal/bytecode"
-	"ppd/internal/compile"
-	"ppd/internal/controller"
-	"ppd/internal/debugger"
 	"ppd/internal/eblock"
-	"ppd/internal/obs"
-	"ppd/internal/parallel"
-	"ppd/internal/race"
-	"ppd/internal/source"
 	"ppd/internal/vm"
 )
 
@@ -41,22 +35,25 @@ func main() {
 		os.Exit(2)
 	}
 	cmd, args := os.Args[1], os.Args[2:]
-	var err error
+	var (
+		failed bool // the command's verdict is "no": a race, or a -strict warning
+		err    error
+	)
 	switch cmd {
 	case "compile":
 		err = cmdCompile(args)
 	case "dump":
 		err = cmdDump(args)
 	case "run":
-		err = cmdRun(args)
+		failed, err = cmdRun(args)
 	case "debug":
 		err = cmdDebug(args)
 	case "races":
-		err = cmdRaces(args)
+		failed, err = runRaces(args, os.Stdout)
 	case "watch":
 		err = cmdWatch(args)
 	case "vet":
-		err = cmdVet(args)
+		failed, err = runVet(args, os.Stdout)
 	case "stats":
 		err = cmdStats(args)
 	case "serve":
@@ -70,6 +67,9 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppd: %v\n", err)
+		os.Exit(1)
+	}
+	if failed {
 		os.Exit(1)
 	}
 }
@@ -99,20 +99,15 @@ commands:
 `)
 }
 
-func loadFile(path string) (*source.File, error) {
+// compileFile runs the preparatory phase over the file at path with the
+// default e-block configuration, through the persistent artifact cache
+// when opts.CacheDir or PPD_CACHE_DIR names one.
+func compileFile(path string, opts ppd.Options) (*ppd.Program, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return source.NewFile(path, string(data)), nil
-}
-
-func compileFile(path string) (*compile.Artifacts, error) {
-	f, err := loadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return compile.Compile(f, eblock.DefaultConfig())
+	return ppd.CompileOpts(path, string(data), eblock.DefaultConfig(), opts)
 }
 
 func cmdCompile(args []string) error {
@@ -124,17 +119,13 @@ func cmdCompile(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("compile: need one source file")
 	}
-	f, err := loadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	sink := obs.New()
-	art, err := compile.CompileCached(f, eblock.DefaultConfig(), *cacheDir, *workers, sink)
+	prog, err := compileFile(fs.Arg(0), ppd.Options{CacheDir: *cacheDir, Workers: *workers})
 	if err != nil {
 		return err
 	}
 	// A cache hit returns a shallow artifact; the summary below needs the
 	// e-block plan, so rebuild the semantic layers (codegen is skipped).
+	art := prog.Artifacts()
 	if err := art.Hydrate(); err != nil {
 		return err
 	}
@@ -149,7 +140,7 @@ func cmdCompile(args []string) error {
 	}
 	fmt.Printf("  shared-prelog sites: %d\n", units)
 	if *cacheDir != "" {
-		snap := sink.Snapshot()
+		snap := prog.CompileStats()
 		fmt.Printf("  cache: %d hit(s), %d miss(es), %d byte(s)\n",
 			snap.Counters["compile.cache.hits"],
 			snap.Counters["compile.cache.misses"],
@@ -165,8 +156,13 @@ func cmdDump(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("dump: need one source file")
 	}
-	art, err := compileFile(fs.Arg(0))
+	prog, err := compileFile(fs.Arg(0), ppd.Options{})
 	if err != nil {
+		return err
+	}
+	// A cache hit returns a shallow artifact without the program database.
+	art := prog.Artifacts()
+	if err := art.Hydrate(); err != nil {
 		return err
 	}
 	fmt.Print(art.DB.Dump())
@@ -182,7 +178,9 @@ func vmFlags(fs *flag.FlagSet) (seed *int64, quantum *int) {
 	return
 }
 
-func cmdRun(args []string) error {
+// cmdRun is `ppd run`. raced reports that -first-race found a race, which
+// main maps to exit status 1.
+func cmdRun(args []string) (raced bool, err error) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	seed, quantum := vmFlags(fs)
 	mode := fs.String("mode", "run", "execution mode: run, log, or trace")
@@ -190,74 +188,64 @@ func cmdRun(args []string) error {
 		"monitor the run online and cancel it at the first race (implies -mode log; exits 1 on a race)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("run: need one source file")
+		return false, fmt.Errorf("run: need one source file")
 	}
-	if *firstRace {
-		return runFirstRace(fs.Arg(0), *seed, *quantum)
-	}
-	art, err := compileFile(fs.Arg(0))
+	prog, err := compileFile(fs.Arg(0), ppd.Options{})
 	if err != nil {
-		return err
+		return false, err
 	}
-	var m vm.Mode
+	opts := ppd.Options{Seed: *seed, Quantum: *quantum, Output: os.Stdout}
+	if *firstRace {
+		return runFirstRace(prog, opts)
+	}
 	switch *mode {
 	case "run":
-		m = vm.ModeRun
+		return false, prog.Run(opts)
 	case "log":
-		m = vm.ModeLog
-	case "trace":
-		m = vm.ModeFullTrace
-	default:
-		return fmt.Errorf("run: unknown mode %q", *mode)
-	}
-	v := vm.New(art.Prog, vm.Options{Mode: m, Seed: *seed, Quantum: *quantum, Output: os.Stdout})
-	rerr := v.Run()
-	if m == vm.ModeLog {
+		exec, err := prog.RunLoggedContext(context.Background(), opts)
+		if err != nil {
+			return false, err
+		}
 		fmt.Fprintf(os.Stderr, "[log: %d process(es), %d bytes]\n",
-			v.Log.NumProcs(), v.Log.SizeBytes())
-	}
-	if m == vm.ModeFullTrace {
+			exec.Log().NumProcs(), exec.Log().SizeBytes())
+		return false, exec.Err()
+	case "trace":
+		// The full trace is the E2 baseline the incremental log is measured
+		// against; the public API has no such mode, so drive the VM itself.
+		v := vm.New(prog.Artifacts().Prog, vm.Options{
+			Mode: vm.ModeFullTrace, Seed: *seed, Quantum: *quantum, Output: os.Stdout,
+		})
+		rerr := v.Run()
 		fmt.Fprintf(os.Stderr, "[trace: %d bytes]\n", v.Trace.SizeBytes())
+		return false, rerr
+	default:
+		return false, fmt.Errorf("run: unknown mode %q", *mode)
 	}
-	if rerr != nil {
-		return rerr
-	}
-	return nil
 }
 
 // runFirstRace is `ppd run -first-race`: the run carries the online
 // pipeline and is cancelled the moment the frontier detector reports a
 // race — a long racy execution terminates in a small fraction of its full
 // runtime, with the triggering race(s) reported.
-func runFirstRace(path string, seed int64, quantum int) error {
-	data, err := os.ReadFile(path)
+func runFirstRace(prog *ppd.Program, opts ppd.Options) (raced bool, err error) {
+	opts.StopAtFirstRace = true
+	exec, err := prog.RunLoggedContext(context.Background(), opts)
 	if err != nil {
-		return err
-	}
-	prog, err := ppd.CompileOpts(path, string(data), eblock.DefaultConfig(), ppd.Options{})
-	if err != nil {
-		return err
-	}
-	exec, err := prog.RunLogged(ppd.Options{
-		Seed: seed, Quantum: quantum, Output: os.Stdout, StopAtFirstRace: true,
-	})
-	if err != nil {
-		return err
+		return false, err
 	}
 	switch {
 	case exec.StoppedAtRace():
 		fmt.Fprintf(os.Stderr, "[run cancelled at first race]\n")
-		fmt.Fprint(os.Stderr, exec.OnlineRaceReport())
-		os.Exit(1)
 	case len(exec.OnlineRaces()) > 0:
 		// A short run can complete before the cancellation lands; the
 		// races are still the online pipeline's.
 		fmt.Fprintf(os.Stderr, "[run completed before cancellation]\n")
-		fmt.Fprint(os.Stderr, exec.OnlineRaceReport())
-		os.Exit(1)
+	default:
+		fmt.Fprintf(os.Stderr, "[run completed race-free under this schedule]\n")
+		return false, nil
 	}
-	fmt.Fprintf(os.Stderr, "[run completed race-free under this schedule]\n")
-	return nil
+	fmt.Fprint(os.Stderr, exec.OnlineRaceReport())
+	return true, nil
 }
 
 // cmdWatch runs the program with the online analysis pipeline attached:
@@ -274,15 +262,11 @@ func cmdWatch(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("watch: need one source file")
 	}
-	data, err := os.ReadFile(fs.Arg(0))
+	prog, err := compileFile(fs.Arg(0), ppd.Options{})
 	if err != nil {
 		return err
 	}
-	prog, err := ppd.CompileOpts(fs.Arg(0), string(data), eblock.DefaultConfig(), ppd.Options{})
-	if err != nil {
-		return err
-	}
-	exec, err := prog.RunLogged(ppd.Options{
+	exec, err := prog.RunLoggedContext(context.Background(), ppd.Options{
 		Seed: *seed, Quantum: *quantum, Output: os.Stdout,
 		Monitor: true, StopAtFirstRace: *firstRace, StreamBatch: *batch,
 		OnRace: func(ev ppd.RaceEvent) { fmt.Printf("[race] %s\n", ev.String()) },
@@ -308,21 +292,23 @@ func cmdDebug(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("debug: need one source file")
 	}
-	art, err := compileFile(fs.Arg(0))
+	prog, err := compileFile(fs.Arg(0), ppd.Options{})
 	if err != nil {
 		return err
 	}
-	v := vm.New(art.Prog, vm.Options{
-		Mode: vm.ModeLog, Seed: *seed, Quantum: *quantum, Output: os.Stdout,
-		BreakAt: ast.StmtID(*breakAt),
+	exec, err := prog.RunLoggedContext(context.Background(), ppd.Options{
+		Seed: *seed, Quantum: *quantum, Output: os.Stdout, BreakAt: *breakAt,
 	})
-	if rerr := v.Run(); rerr != nil {
+	if err != nil {
+		return err
+	}
+	if rerr := exec.Err(); rerr != nil {
 		fmt.Fprintf(os.Stderr, "[execution halted: %v]\n", rerr)
 	}
-	if v.BreakHit {
+	if exec.AtBreakpoint() {
 		fmt.Fprintf(os.Stderr, "[halted at breakpoint s%d]\n", *breakAt)
 	}
-	sess, err := debugger.New(controller.FromRun(art, v))
+	sess, err := exec.Debugger()
 	if err != nil {
 		return err
 	}
@@ -342,12 +328,7 @@ func cmdStats(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("stats: need one source file")
 	}
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	prog, err := ppd.CompileOpts(fs.Arg(0), string(data), eblock.DefaultConfig(),
-		ppd.Options{CacheDir: *cacheDir})
+	prog, err := compileFile(fs.Arg(0), ppd.Options{CacheDir: *cacheDir})
 	if err != nil {
 		return err
 	}
@@ -368,7 +349,7 @@ func cmdStats(args []string) error {
 	if *trace {
 		opts.Trace = os.Stderr
 	}
-	exec, err := prog.RunLogged(opts)
+	exec, err := prog.RunLoggedContext(context.Background(), opts)
 	if err != nil {
 		return err
 	}
@@ -389,39 +370,32 @@ func cmdStats(args []string) error {
 	return nil
 }
 
-func cmdRaces(args []string) error {
+// runRaces is `ppd races`, writing its report to w. raced reports that
+// some seed's execution has a race, which main maps to exit status 1.
+func runRaces(args []string, w io.Writer) (raced bool, err error) {
 	fs := flag.NewFlagSet("races", flag.ExitOnError)
 	seed, quantum := vmFlags(fs)
 	sweep := fs.Int("sweep", 1, "number of scheduler seeds to try")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("races: need one source file")
+		return false, fmt.Errorf("races: need one source file")
 	}
-	art, err := compileFile(fs.Arg(0))
+	prog, err := compileFile(fs.Arg(0), ppd.Options{})
 	if err != nil {
-		return err
+		return false, err
 	}
-	names := make([]string, len(art.Prog.Globals))
-	for gid, def := range art.Prog.Globals {
-		names[gid] = def.Name
-	}
-	mask := art.Vet(nil).Conflicts.Mask()
-	anyRace := false
-	for s := int64(0); s < int64(*sweep); s++ {
-		v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: *seed + s, Quantum: *quantum})
-		if rerr := v.Run(); rerr != nil {
-			fmt.Printf("seed %d: execution halted: %v\n", *seed+s, rerr)
+	for s := *seed; s < *seed+int64(*sweep); s++ {
+		exec, err := prog.RunLoggedContext(context.Background(), ppd.Options{Seed: s, Quantum: *quantum})
+		if err != nil {
+			return raced, err
 		}
-		g := parallel.Build(v.Log, len(art.Prog.Globals))
-		g.VarNames = names
-		races := race.Detect(g, race.Opts{Mask: mask})
-		if len(races) > 0 {
-			anyRace = true
+		if rerr := exec.Err(); rerr != nil {
+			fmt.Fprintf(w, "seed %d: execution halted: %v\n", s, rerr)
 		}
-		fmt.Printf("seed %d: %s", *seed+s, race.Report(races, nil))
+		if len(exec.Races()) > 0 {
+			raced = true
+		}
+		fmt.Fprintf(w, "seed %d: %s", s, exec.RaceReport())
 	}
-	if anyRace {
-		os.Exit(1)
-	}
-	return nil
+	return raced, nil
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ppd"
 )
 
 // withStdout captures os.Stdout while f runs (the subcommands write there).
@@ -68,7 +70,7 @@ func TestCmdRunModes(t *testing.T) {
 	path := writeProgram(t, `func main() { print(6 * 7); }`)
 	for _, mode := range []string{"run", "log", "trace"} {
 		out := withStdout(t, func() {
-			if err := cmdRun([]string{"-mode", mode, path}); err != nil {
+			if _, err := cmdRun([]string{"-mode", mode, path}); err != nil {
 				t.Errorf("mode %s: %v", mode, err)
 			}
 		})
@@ -76,12 +78,93 @@ func TestCmdRunModes(t *testing.T) {
 			t.Errorf("mode %s: output %q", mode, out)
 		}
 	}
-	if err := cmdRun([]string{"-mode", "bogus", path}); err == nil {
+	if _, err := cmdRun([]string{"-mode", "bogus", path}); err == nil {
 		t.Error("expected error for unknown mode")
 	}
 	crash := writeProgram(t, `func main() { print(1 / 0); }`)
-	if err := cmdRun([]string{crash}); err == nil {
-		t.Error("expected runtime error to propagate")
+	for _, mode := range []string{"run", "log", "trace"} {
+		if _, err := cmdRun([]string{"-mode", mode, crash}); err == nil {
+			t.Errorf("mode %s: expected runtime error to propagate", mode)
+		}
+	}
+}
+
+// TestCmdRunFirstRace checks the verdict main maps to exit status 1: the
+// racy program stops at its first race, the clean one runs to the end.
+func TestCmdRunFirstRace(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		want bool
+	}{{"racy.mpl", true}, {"quick.mpl", false}} {
+		var raced bool
+		withStdout(t, func() {
+			var err error
+			raced, err = cmdRun([]string{"-first-race", "-quantum", "1", filepath.Join("..", "..", "testdata", tc.file)})
+			if err != nil {
+				t.Errorf("%s: %v", tc.file, err)
+			}
+		})
+		if raced != tc.want {
+			t.Errorf("%s: raced = %v, want %v", tc.file, raced, tc.want)
+		}
+	}
+}
+
+// TestCmdRaces pins `ppd races` output over a seed sweep and the verdict
+// main maps to exit status 1.
+func TestCmdRaces(t *testing.T) {
+	const racyWant = `seed 0: 3 race(s) detected:
+  write/write race: P2 [events 6..7] vs P3 [events 9..10] on counter
+  write/read race: P2 [events 6..7] vs P3 [events 9..10] on counter
+  read/write race: P2 [events 6..7] vs P3 [events 9..10] on counter
+seed 1: 3 race(s) detected:
+  write/write race: P2 [events 6..7] vs P3 [events 9..10] on counter
+  write/read race: P2 [events 6..7] vs P3 [events 9..10] on counter
+  read/write race: P2 [events 6..7] vs P3 [events 9..10] on counter
+seed 2: 3 race(s) detected:
+  write/write race: P2 [events 6..7] vs P3 [events 9..10] on counter
+  write/read race: P2 [events 6..7] vs P3 [events 9..10] on counter
+  read/write race: P2 [events 6..7] vs P3 [events 9..10] on counter
+`
+	var out bytes.Buffer
+	raced, err := runRaces([]string{"-sweep", "3", filepath.Join("..", "..", "testdata", "racy.mpl")}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !raced {
+		t.Error("racy.mpl: races must report a race")
+	}
+	if out.String() != racyWant {
+		t.Errorf("racy.mpl -sweep 3:\n%s\nwant:\n%s", out.String(), racyWant)
+	}
+
+	out.Reset()
+	raced, err = runRaces([]string{filepath.Join("..", "..", "testdata", "quick.mpl")}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raced {
+		t.Errorf("quick.mpl must be race-free:\n%s", out.String())
+	}
+	if want := "seed 0: no races detected: the execution instance is race-free (Def 6.4)\n"; out.String() != want {
+		t.Errorf("quick.mpl: %q, want %q", out.String(), want)
+	}
+
+	// A halted execution is reported, and detection still runs over its log.
+	crash := writeProgram(t, `
+sem a = 0;
+func w() { P(a); }
+func main() { spawn w(); P(a); }`)
+	out.Reset()
+	if _, err := runRaces([]string{crash}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "seed 0: execution halted: deadlock: 2 process(es) blocked\n") {
+		t.Errorf("deadlocked run: %q", out.String())
+	}
+
+	if _, err := runRaces(nil, &out); err == nil {
+		t.Error("expected usage error")
 	}
 }
 
@@ -99,6 +182,24 @@ func main() { print(f(1)); }`)
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q", want)
 		}
+	}
+
+	// Through a warm PPD_CACHE_DIR the compile is a cache hit that carries
+	// no program database until Hydrate; the dump must not change.
+	dir := t.TempDir()
+	t.Setenv("PPD_CACHE_DIR", dir)
+	for _, run := range []string{"cold", "warm"} {
+		got := withStdout(t, func() {
+			if err := cmdDump([]string{"-code", path}); err != nil {
+				t.Errorf("%s cache dump: %v", run, err)
+			}
+		})
+		if got != out {
+			t.Errorf("%s cache dump differs from the uncached one:\n%s\nwant:\n%s", run, got, out)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("cache holds %d entries, want 1", len(entries))
 	}
 }
 
@@ -137,7 +238,7 @@ func TestLoadFileErrors(t *testing.T) {
 	if _, err := loadFile("/no/such/file.mpl"); err == nil {
 		t.Error("expected error")
 	}
-	if _, err := compileFile(writeProgram(t, `func main() { x = ; }`)); err == nil {
+	if _, err := compileFile(writeProgram(t, `func main() { x = ; }`), ppd.Options{}); err == nil {
 		t.Error("expected compile error")
 	}
 }

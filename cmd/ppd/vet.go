@@ -10,24 +10,13 @@ import (
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
 	"ppd/internal/obs"
+	"ppd/internal/source"
 )
 
-// cmdVet runs only the preparatory phase plus the static-analysis passes:
-// no execution, no logs. With -strict, any warning (or error) makes the
-// process exit 1 — the contract `make vet-mpl` and CI rely on.
-func cmdVet(args []string) error {
-	strictFailed, err := runVet(args, os.Stdout)
-	if err != nil {
-		return err
-	}
-	if strictFailed {
-		os.Exit(1)
-	}
-	return nil
-}
-
-// runVet is cmdVet without the exit, for tests: it reports whether a
-// -strict run found warnings.
+// runVet is `ppd vet`: only the preparatory phase plus the
+// static-analysis passes, no execution, no logs. It reports whether a
+// -strict run found warnings, which main maps to exit status 1 — the
+// contract `make vet-mpl` and CI rely on.
 func runVet(args []string, w io.Writer) (strictFailed bool, err error) {
 	fs := flag.NewFlagSet("vet", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
@@ -45,7 +34,7 @@ func runVet(args []string, w io.Writer) (strictFailed bool, err error) {
 	// interpretation pass, which runs in the preparatory phase (its facts
 	// feed fusion certificates there) and is only reused by vet.
 	sink := obs.New()
-	art, err := compile.CompileWithObs(f, eblock.DefaultConfig(), sink)
+	art, err := compile.Compile(f, compile.Opts{Config: eblock.DefaultConfig(), Sink: sink})
 	if err != nil {
 		return false, err
 	}
@@ -80,4 +69,13 @@ func runVet(args []string, w io.Writer) (strictFailed bool, err error) {
 	}
 	warnings, _ := res.Counts()
 	return *strict && warnings > 0, nil
+}
+
+// loadFile reads the source file at path.
+func loadFile(path string) (*source.File, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return source.NewFile(path, string(data)), nil
 }

@@ -6,6 +6,7 @@
 package ppd
 
 import (
+	"ppd/internal/source"
 	"testing"
 
 	"ppd/internal/bytecode"
@@ -17,7 +18,7 @@ import (
 
 func mustCompileFusion(b *testing.B, w *workloads.Workload, tab *bytecode.FusionTable) *compile.Artifacts {
 	b.Helper()
-	art, err := compile.CompileFusedSource(w.Name, w.Src, eblock.DefaultConfig(), tab)
+	art, err := compile.Compile(source.NewFile(w.Name, w.Src), compile.Opts{Config: eblock.DefaultConfig(), Fusion: tab, NoFusion: tab == nil})
 	if err != nil {
 		b.Fatal(err)
 	}

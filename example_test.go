@@ -14,17 +14,15 @@ import (
 // (process count, race count) are deterministic; timings are not, so the
 // example prints none.
 func ExampleExecution_Stats() {
-	prog, err := ppd.Compile("stats.mpl", `
+	sess, err := ppd.OpenSession("stats.mpl", `
 sem done = 0;
 func w() { V(done); }
-func main() { spawn w(); P(done); }`)
+func main() { spawn w(); P(done); }`, ppd.Options{Output: io.Discard})
 	if err != nil {
 		panic(err)
 	}
-	exec, err := prog.RunLogged(ppd.Options{Output: io.Discard})
-	if err != nil {
-		panic(err)
-	}
+	defer sess.Close()
+	exec := sess.Execution()
 	_ = exec.Races() // exercise the debugging phase so debug.*/race.* report
 
 	st := exec.Stats()
@@ -69,16 +67,14 @@ func main() { print(f(20) / (g - 21)); }`, ppd.Options{Output: io.Discard})
 // debugging phases run. Each line carries an elapsed timestamp, so the
 // example checks for the scope markers rather than printing the stream.
 func ExampleOptions_trace() {
-	prog, err := ppd.Compile("trace.mpl", `func main() { print(6 * 7); }`)
-	if err != nil {
-		panic(err)
-	}
 	var trace bytes.Buffer
-	exec, err := prog.RunLogged(ppd.Options{Output: io.Discard, Trace: &trace})
+	sess, err := ppd.OpenSession("trace.mpl", `func main() { print(6 * 7); }`,
+		ppd.Options{Output: io.Discard, Trace: &trace})
 	if err != nil {
 		panic(err)
 	}
-	_ = exec.Races()
+	defer sess.Close()
+	_, _ = sess.Races()
 
 	fmt.Println(strings.Contains(trace.String(), "begin exec.run"))
 	fmt.Println(strings.Contains(trace.String(), "end   debug.build"))

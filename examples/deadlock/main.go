@@ -8,13 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"ppd/internal/compile"
-	"ppd/internal/controller"
+	"ppd"
 	"ppd/internal/eblock"
-	"ppd/internal/vm"
 )
 
 const program = `
@@ -41,15 +40,17 @@ func main() {
 `
 
 func main() {
-	art, err := compile.CompileSource("deadlock.mpl", program, eblock.Config{})
+	prog, err := ppd.CompileOpts("deadlock.mpl", program, eblock.Config{}, ppd.Options{})
 	if err != nil {
 		log.Fatalf("compile: %v", err)
 	}
-	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: 1})
-	runErr := v.Run()
-	fmt.Printf("execution ended: %v\n\n", runErr)
+	exec, err := prog.RunLoggedContext(context.Background(), ppd.Options{Quantum: 1})
+	if err != nil {
+		log.Fatalf("run: %v", err)
+	}
+	fmt.Printf("execution ended: %v\n\n", exec.Err())
 
-	c := controller.FromRun(art, v)
+	c := exec.Controller()
 	fmt.Print(c.Summary())
 	fmt.Println()
 	fmt.Print(c.DeadlockReport())

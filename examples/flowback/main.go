@@ -9,15 +9,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
-	"ppd/internal/compile"
+	"ppd"
 	"ppd/internal/controller"
 	"ppd/internal/dynpdg"
 	"ppd/internal/eblock"
-	"ppd/internal/vm"
 )
 
 const program = `
@@ -46,16 +46,19 @@ func main() {
 `
 
 func main() {
-	art, err := compile.CompileSource("fig41.mpl", program, eblock.Config{})
+	prog, err := ppd.CompileOpts("fig41.mpl", program, eblock.Config{}, ppd.Options{})
 	if err != nil {
 		log.Fatalf("compile: %v", err)
 	}
-	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Output: os.Stdout})
-	if err := v.Run(); err != nil {
+	exec, err := prog.RunLoggedContext(context.Background(), ppd.Options{Output: os.Stdout})
+	if err == nil {
+		err = exec.Err()
+	}
+	if err != nil {
 		log.Fatalf("run: %v", err)
 	}
 
-	c := controller.FromRun(art, v)
+	c := exec.Controller()
 
 	// Build main's dynamic graph. SubD and sqrt completed, so they appear
 	// as sub-graph nodes whose effects came from their postlogs.
@@ -90,7 +93,7 @@ func main() {
 	fmt.Printf("\nexpanding sub-graph node n%d [SubD]=%d:\n", subD.ID, subD.Value)
 
 	em := c.Emulator(0)
-	blk := art.Plan.ByFunc["SubD"]
+	blk := c.Art.Plan.ByFunc["SubD"]
 	idxs := em.PrelogIndices(int(blk.ID))
 	gd, err := c.Graph(0, idxs[0])
 	if err != nil {

@@ -5,14 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
-	"ppd/internal/compile"
+	"ppd"
 	"ppd/internal/controller"
 	"ppd/internal/eblock"
-	"ppd/internal/vm"
 )
 
 const program = `
@@ -46,22 +46,30 @@ func main() {
 func main() {
 	// Phase 1 — preparatory: the Compiler/Linker produces the object code,
 	// the emulation package, the static graphs, and the program database.
-	art, err := compile.CompileSource("quickstart.mpl", program, eblock.DefaultConfig())
+	prog, err := ppd.CompileOpts("quickstart.mpl", program, eblock.DefaultConfig(), ppd.Options{})
 	if err != nil {
+		log.Fatalf("compile: %v", err)
+	}
+	// A compile served from the artifact cache (PPD_CACHE_DIR) rebuilds its
+	// e-block plan on demand.
+	art := prog.Artifacts()
+	if err := art.Hydrate(); err != nil {
 		log.Fatalf("compile: %v", err)
 	}
 	fmt.Printf("preparatory phase: %d e-block(s), %d instruction(s)\n\n",
 		len(art.Plan.Blocks), art.Prog.NumInstrs())
 
 	// Phase 2 — execution: the object code runs and generates the log.
-	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Output: os.Stdout})
-	runErr := v.Run()
-	fmt.Printf("execution phase: %v (log: %d bytes)\n\n", runErr, v.Log.SizeBytes())
+	exec, err := prog.RunLoggedContext(context.Background(), ppd.Options{Output: os.Stdout})
+	if err != nil {
+		log.Fatalf("run: %v", err)
+	}
+	fmt.Printf("execution phase: %v (log: %d bytes)\n\n", exec.Err(), exec.Log().SizeBytes())
 
 	// Phase 3 — debugging: the PPD Controller locates the open interval,
 	// directs the emulation package to regenerate its trace, and presents
 	// the dependence fragment at the failure.
-	c := controller.FromRun(art, v)
+	c := exec.Controller()
 	fmt.Print(c.Summary())
 
 	g, _, err := c.CurrentGraph(0)

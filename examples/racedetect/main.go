@@ -8,14 +8,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"ppd/internal/compile"
+	"ppd"
 	"ppd/internal/eblock"
-	"ppd/internal/parallel"
 	"ppd/internal/race"
-	"ppd/internal/vm"
 )
 
 const program = `
@@ -51,7 +50,7 @@ func main() {
 `
 
 func main() {
-	art, err := compile.CompileSource("race.mpl", program, eblock.Config{})
+	prog, err := ppd.CompileOpts("race.mpl", program, eblock.Config{}, ppd.Options{})
 	if err != nil {
 		log.Fatalf("compile: %v", err)
 	}
@@ -59,18 +58,19 @@ func main() {
 	fmt.Println("running with three different interleavings; the race is in the")
 	fmt.Println("program, so every execution instance's graph exposes it:")
 	for _, seed := range []int64{0, 7, 23} {
-		v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: seed, Quantum: 1})
-		if err := v.Run(); err != nil {
+		exec, err := prog.RunLoggedContext(context.Background(), ppd.Options{Seed: seed, Quantum: 1})
+		if err == nil {
+			err = exec.Err()
+		}
+		if err != nil {
 			log.Fatalf("run: %v", err)
 		}
-		g := parallel.Build(v.Log, len(art.Prog.Globals))
-		races := race.Detect(g, race.Opts{})
+		c := exec.Controller()
+		races := c.Races()
 
 		fmt.Printf("\n--- seed %d: parallel dynamic graph ---\n", seed)
-		fmt.Print(g.String())
-		fmt.Print(race.Report(races, func(gid int) string {
-			return art.Prog.Globals[gid].Name
-		}))
+		fmt.Print(c.Parallel().String())
+		fmt.Print(c.RaceReport())
 
 		// The §6.3 ordered pair must never be reported: p1's write edge is
 		// ordered before p3's read edge through the semaphore.

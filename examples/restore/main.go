@@ -8,13 +8,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
-	"ppd/internal/compile"
+	"ppd"
 	"ppd/internal/eblock"
-	"ppd/internal/emulation"
 	"ppd/internal/replay"
 	"ppd/internal/vm"
 )
@@ -43,15 +43,20 @@ func main() {
 `
 
 func main() {
-	art, err := compile.CompileSource("bank.mpl", program, eblock.Config{})
+	prog, err := ppd.CompileOpts("bank.mpl", program, eblock.Config{}, ppd.Options{})
 	if err != nil {
 		log.Fatalf("compile: %v", err)
 	}
-	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Output: os.Stdout})
-	if err := v.Run(); err != nil {
+	exec, err := prog.RunLoggedContext(context.Background(), ppd.Options{Output: os.Stdout})
+	if err == nil {
+		err = exec.Err()
+	}
+	if err != nil {
 		log.Fatalf("run: %v", err)
 	}
-	book := v.Log.Books[0]
+	c := exec.Controller()
+	art := c.Art // hydrated: the symbol table and e-block plan are present
+	book := exec.Log().Books[0]
 	gid := art.Info.GlobalByName("balance").GlobalID
 
 	// 1. Restore the state after each completed interval.
@@ -78,12 +83,9 @@ func main() {
 
 	// 3. What-if: would rate=5 have produced interest? Re-execute
 	// applyInterest's interval with the prelog's rate overridden.
-	em := emulation.New(art.Prog, book)
 	blk := art.Plan.ByFunc["applyInterest"]
-	idx := em.PrelogIndices(int(blk.ID))[0]
-	rateID := art.Info.GlobalByName("rate").GlobalID
-	res, err := replay.WhatIf(art.Prog, book, idx,
-		[]replay.Override{{Slot: -1, Global: rateID, Value: 5}})
+	idx := c.Emulator(0).PrelogIndices(int(blk.ID))[0]
+	res, err := exec.WhatIf(0, idx, "rate", 5)
 	if err != nil {
 		log.Fatal(err)
 	}

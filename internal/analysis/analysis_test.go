@@ -9,13 +9,14 @@ import (
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
 	"ppd/internal/obs"
+	"ppd/internal/source"
 	"ppd/internal/workloads"
 )
 
 // analyze compiles src and runs every pass.
 func analyze(t *testing.T, src string) *analysis.Result {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -252,7 +253,7 @@ func main() { spawn w(); spawn w(); P(done); P(done); print(SV); }`)
 }
 
 func TestAnalyzeObsScopes(t *testing.T) {
-	art, err := compile.CompileSource("obs.mpl", workloads.ProdCons(20).Src, eblock.DefaultConfig())
+	art, err := compile.Compile(source.NewFile("obs.mpl", workloads.ProdCons(20).Src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestAnalyzeObsScopes(t *testing.T) {
 
 func BenchmarkStaticAnalysis(b *testing.B) {
 	for _, wl := range workloads.Standard() {
-		art, err := compile.CompileSource(wl.Name, wl.Src, eblock.DefaultConfig())
+		art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
 		if err != nil {
 			b.Fatal(err)
 		}

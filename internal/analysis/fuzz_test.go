@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"ppd/internal/source"
 	"testing"
 
 	"ppd/internal/analysis"
@@ -30,7 +31,7 @@ func FuzzVet(f *testing.F) {
 	f.Add("func f() { f(); }\nfunc main() { f(); }")
 	f.Add("shared a[3];\nchan c[1];\nfunc main() { send(c, a[0]); }")
 	f.Fuzz(func(t *testing.T, src string) {
-		art, err := compile.CompileSource("fuzz.mpl", src, eblock.DefaultConfig())
+		art, err := compile.Compile(source.NewFile("fuzz.mpl", src), compile.Opts{Config: eblock.DefaultConfig()})
 		if err != nil {
 			return // front-end rejection is fine; panics are not
 		}

@@ -11,6 +11,7 @@ import (
 	"ppd/internal/analysis"
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
+	"ppd/internal/source"
 	"ppd/internal/workloads"
 )
 
@@ -76,7 +77,7 @@ func goldenPrograms(t *testing.T) []goldenProgram {
 
 func vetText(t *testing.T, name, src string) string {
 	t.Helper()
-	art, err := compile.CompileSource(name+".mpl", src, eblock.DefaultConfig())
+	art, err := compile.Compile(source.NewFile(name+".mpl", src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
@@ -130,7 +131,7 @@ func TestVetAcceptance(t *testing.T) {
 	if !strings.Contains(dead, "while holding") {
 		t.Errorf("lock-cycle diagnostic should explain the held-acquire edges:\n%s", dead)
 	}
-	art, err := compile.CompileSource("quickstart.mpl", exampleSource(t, "quickstart"), eblock.DefaultConfig())
+	art, err := compile.Compile(source.NewFile("quickstart.mpl", exampleSource(t, "quickstart")), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestVetAcceptance(t *testing.T) {
 // TestVetResultPersisted checks the program-database persistence contract:
 // the artifacts' Vet memoizes into DB and repeated calls share one result.
 func TestVetResultPersisted(t *testing.T) {
-	art, err := compile.CompileSource("racy.mpl", exampleSource(t, "racedetect"), eblock.DefaultConfig())
+	art, err := compile.Compile(source.NewFile("racy.mpl", exampleSource(t, "racedetect")), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,119 +88,64 @@ func (a *Artifacts) Hydrate() error {
 // Hydrated reports whether the semantic layers are available.
 func (a *Artifacts) Hydrated() bool { return a.DB != nil }
 
-// Compile runs parse → check → static analysis → e-block planning →
-// code generation. On front-end errors it returns the error list's error.
-// The per-function passes fan out across the shared worker pool; the
-// output is byte-identical to CompileSequential.
-func Compile(file *source.File, cfg eblock.Config) (*Artifacts, error) {
-	return CompileWithObs(file, cfg, nil)
+// Opts selects how Compile runs the preparatory phase. The zero value is
+// the default pipeline: the zero e-block config, the shared GOMAXPROCS
+// pool, no observation, no persistent cache, the default fusion table.
+type Opts struct {
+	// Config tunes e-block construction (§5.4).
+	Config eblock.Config
+	// Workers is the per-function fan-out width: 1 compiles sequentially
+	// (the byte-identity baseline of the parallel pipeline), <= 0 uses the
+	// shared GOMAXPROCS pool, anything else gets a dedicated pool.
+	Workers int
+	// Sink receives one "compile.<pass>" scope per pipeline pass, the
+	// artifact-size counters, and the compile.cache.{hits,misses,bytes}
+	// counters. nil disables observation.
+	Sink *obs.Sink
+	// CacheDir enables the persistent artifact cache (empty disables it).
+	// The key is a content hash over the source bytes, the e-block config,
+	// the fusion table's fingerprint, and the codec version, so any change
+	// to an input or the format misses cleanly. On a hit the whole pipeline
+	// is skipped and a shallow artifact (bytecode + persisted vet) is
+	// returned — call Hydrate before debugging-phase queries. On a miss the
+	// program is compiled, vetted, and stored.
+	CacheDir string
+	// Fusion is the superinstruction table of the peephole pass that runs
+	// after codegen; nil means bytecode.DefaultFusionTable().
+	Fusion *bytecode.FusionTable
+	// NoFusion disables the fusion pass: the unfused baseline of the
+	// dispatch experiments. Fused and unfused artifacts never share a
+	// cache entry.
+	NoFusion bool
 }
 
-// CompileWithObs is Compile reporting preparatory-phase metrics to sink:
-// one "compile.<pass>" scope per pipeline pass and the artifact-size
-// counters (functions, globals, instructions, PDG units and data
-// dependences, e-blocks, shared-prelog sites). A nil sink disables
-// observation.
-func CompileWithObs(file *source.File, cfg eblock.Config, sink *obs.Sink) (*Artifacts, error) {
-	return compilePipeline(file, cfg, pipelineOpts{crossWriteFilter: true, sink: sink, pool: poolFor(0, sink)})
-}
-
-// CompileSequential runs the identical pipeline with every pass on the
-// calling goroutine — the byte-identity baseline for the parallel pipeline
-// and the `cold sequential` bar of E17.
-func CompileSequential(file *source.File, cfg eblock.Config) (*Artifacts, error) {
-	return compilePipeline(file, cfg, pipelineOpts{crossWriteFilter: true})
-}
-
-// CompileWorkers is Compile with an explicit per-function fan-out width:
-// workers == 1 compiles sequentially, workers <= 0 uses the shared
-// GOMAXPROCS pool, anything else gets a dedicated pool of that size.
-func CompileWorkers(file *source.File, cfg eblock.Config, workers int, sink *obs.Sink) (*Artifacts, error) {
-	return compilePipeline(file, cfg, pipelineOpts{crossWriteFilter: true, sink: sink, pool: poolFor(workers, sink)})
-}
-
-// poolFor maps a workers knob to a sched pool: 1 means sequential (nil
-// pool), <= 0 the shared GOMAXPROCS pool (or an observed pool of the same
-// width when a sink wants sched.* metrics), else a dedicated pool.
-func poolFor(workers int, sink *obs.Sink) *sched.Pool {
-	switch {
-	case workers == 1:
-		return nil
-	case workers <= 0 && sink == nil:
-		return sched.Shared()
-	default:
-		return sched.NewObs(workers, sink)
-	}
-}
-
-// CompileSource is a convenience wrapper over Compile for tests and tools.
-func CompileSource(name, src string, cfg eblock.Config) (*Artifacts, error) {
-	return Compile(source.NewFile(name, src), cfg)
-}
-
-// CompileFused compiles with an explicit superinstruction fusion table. A
-// nil table disables the fusion pass entirely — the unfused baseline of
-// the dispatch experiments; every other entry point fuses with
-// bytecode.DefaultFusionTable.
-func CompileFused(file *source.File, cfg eblock.Config, tab *bytecode.FusionTable) (*Artifacts, error) {
-	return compilePipeline(file, cfg, pipelineOpts{
-		crossWriteFilter: true,
-		pool:             poolFor(0, nil),
-		fusion:           tab,
-		noFusion:         tab == nil,
-	})
-}
-
-// CompileFusedSource is the string-input variant of CompileFused.
-func CompileFusedSource(name, src string, cfg eblock.Config, tab *bytecode.FusionTable) (*Artifacts, error) {
-	return CompileFused(source.NewFile(name, src), cfg, tab)
-}
-
-// Vet runs the static-analysis passes over the compiled program and
-// persists the result in the program database: repeated calls (from the
-// CLI, the controller's detector pruning, or the public API) share one
-// computation. sink receives the per-pass "analysis.<pass>" scopes on the
-// run that actually computes.
-func (a *Artifacts) Vet(sink *obs.Sink) *analysis.Result {
-	if a.preVet != nil {
-		// Cache-loaded artifacts carry the persisted result; no pass reruns
-		// even before hydration.
-		return a.preVet
-	}
-	return a.DB.EnsureVet(func() *analysis.Result {
-		return analysis.AnalyzeWithFacts(a.PDG, a.Prog, sink, a.Facts)
-	})
-}
-
-// CompileCached is CompileWorkers backed by a persistent artifact cache in
-// cacheDir (no caching when empty). The key is a content hash over the
-// source bytes, the e-block config, and the codec version, so any change
-// to either input or format misses cleanly. On a hit the whole pipeline is
-// skipped and a shallow artifact (bytecode + persisted vet) is returned —
-// call Hydrate before debugging-phase queries. On a miss the program is
-// compiled, vetted, and stored. sink receives compile.cache.{hits,misses,
-// bytes} counters alongside the usual pipeline metrics.
-func CompileCached(file *source.File, cfg eblock.Config, cacheDir string, workers int, sink *obs.Sink) (*Artifacts, error) {
-	return CompileCachedFused(file, cfg, cacheDir, workers, bytecode.DefaultFusionTable(), sink)
-}
-
-// CompileCachedFused is CompileCached with an explicit fusion table (nil
-// disables fusion). The table's fingerprint is part of the cache key, so
-// artifacts fused under different tables — or not fused at all — never
-// collide: changing the checked-in table turns stale entries into clean
-// misses.
-func CompileCachedFused(file *source.File, cfg eblock.Config, cacheDir string, workers int, tab *bytecode.FusionTable, sink *obs.Sink) (*Artifacts, error) {
+// Compile runs parse → check → static analysis → e-block planning → code
+// generation → fusion, through the persistent cache when o.CacheDir is
+// set. On front-end errors it returns the error list's error. The
+// per-function passes fan out across the configured worker pool; the
+// output is byte-identical at every worker count.
+func Compile(file *source.File, o Opts) (*Artifacts, error) {
 	po := pipelineOpts{
 		crossWriteFilter: true,
-		sink:             sink,
-		pool:             poolFor(workers, sink),
-		fusion:           tab,
-		noFusion:         tab == nil,
+		sink:             o.Sink,
+		pool:             poolFor(o.Workers, o.Sink),
+		fusion:           o.Fusion,
+		noFusion:         o.NoFusion,
 	}
-	if cacheDir == "" {
-		return compilePipeline(file, cfg, po)
+	if o.CacheDir == "" {
+		return compilePipeline(file, o.Config, po)
 	}
-	cache := &progdb.Cache{Dir: cacheDir}
+	// The key carries the fingerprint of the table the pipeline really
+	// fuses with: the default one when Fusion is nil, none under NoFusion.
+	tab := o.Fusion
+	switch {
+	case o.NoFusion:
+		tab = nil
+	case tab == nil:
+		tab = bytecode.DefaultFusionTable()
+	}
+	cfg, sink := o.Config, o.Sink
+	cache := &progdb.Cache{Dir: o.CacheDir}
 	key := progdb.CacheKey(file.Name, file.Content, cfg, tab.Fingerprint(), absint.Fingerprint)
 	if cp, size, err := cache.Load(key); err == nil && cp != nil {
 		if sink != nil {
@@ -233,9 +178,39 @@ func CompileCachedFused(file *source.File, cfg eblock.Config, cacheDir string, w
 	return art, nil
 }
 
-// CompileUnfiltered compiles with the literal-§5.5 shared prelogs (no
+// poolFor maps a workers knob to a sched pool: 1 means sequential (nil
+// pool), <= 0 the shared GOMAXPROCS pool (or an observed pool of the same
+// width when a sink wants sched.* metrics), else a dedicated pool.
+func poolFor(workers int, sink *obs.Sink) *sched.Pool {
+	switch {
+	case workers == 1:
+		return nil
+	case workers <= 0 && sink == nil:
+		return sched.Shared()
+	default:
+		return sched.NewObs(workers, sink)
+	}
+}
+
+// Vet runs the static-analysis passes over the compiled program and
+// persists the result in the program database: repeated calls (from the
+// CLI, the controller's detector pruning, or the public API) share one
+// computation. sink receives the per-pass "analysis.<pass>" scopes on the
+// run that actually computes.
+func (a *Artifacts) Vet(sink *obs.Sink) *analysis.Result {
+	if a.preVet != nil {
+		// Cache-loaded artifacts carry the persisted result; no pass reruns
+		// even before hydration.
+		return a.preVet
+	}
+	return a.DB.EnsureVet(func() *analysis.Result {
+		return analysis.AnalyzeWithFacts(a.PDG, a.Prog, sink, a.Facts)
+	})
+}
+
+// compileUnfiltered compiles with the literal-§5.5 shared prelogs (no
 // cross-write filtering) — the baseline of the shared-prelog ablation.
-func CompileUnfiltered(file *source.File, cfg eblock.Config) (*Artifacts, error) {
+func compileUnfiltered(file *source.File, cfg eblock.Config) (*Artifacts, error) {
 	return compilePipeline(file, cfg, pipelineOpts{pool: poolFor(0, nil)})
 }
 
@@ -249,7 +224,7 @@ func CompileBare(file *source.File) (*Artifacts, error) {
 }
 
 // pipelineOpts selects the pipeline variant; the passes themselves are
-// identical across Compile / CompileUnfiltered / CompileBare.
+// identical across Compile / compileUnfiltered / CompileBare.
 type pipelineOpts struct {
 	crossWriteFilter bool
 	noInstr          bool
@@ -259,8 +234,8 @@ type pipelineOpts struct {
 
 	// fusion selects the superinstruction table for the peephole pass that
 	// runs after codegen; nil means bytecode.DefaultFusionTable() unless
-	// noFusion is set (CompileFused with an explicit nil disables fusion —
-	// the unfused baseline of the dispatch experiments).
+	// noFusion is set (Opts.NoFusion: the unfused baseline of the dispatch
+	// experiments).
 	fusion   *bytecode.FusionTable
 	noFusion bool
 }
@@ -379,11 +354,6 @@ func foldArtifactSizes(sink *obs.Sink, art *Artifacts) {
 	sink.Counter("compile.pdg.edges").Add(int64(edges))
 	sink.Counter("compile.pdg.datadeps").Add(int64(deps))
 	sink.Counter("compile.shprelog.sites").Add(int64(sites))
-}
-
-// CompileBareSource is the string-input variant of CompileBare.
-func CompileBareSource(name, src string) (*Artifacts, error) {
-	return CompileBare(source.NewFile(name, src))
 }
 
 type compiler struct {

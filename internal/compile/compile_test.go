@@ -13,7 +13,7 @@ import (
 
 func mustCompile(t *testing.T, src string, cfg eblock.Config) *Artifacts {
 	t.Helper()
-	art, err := CompileSource("test.mpl", src, cfg)
+	art, err := Compile(source.NewFile("test.mpl", src), Opts{Config: cfg})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -28,17 +28,17 @@ func TestFrontEndErrorsPropagate(t *testing.T) {
 		"var g = h;\nfunc main() {}", // undeclared in initializer
 	}
 	for _, src := range cases {
-		if _, err := CompileSource("bad.mpl", src, eblock.Config{}); err == nil {
+		if _, err := Compile(source.NewFile("bad.mpl", src), Opts{}); err == nil {
 			t.Errorf("no error for %q", src)
 		}
 	}
 }
 
 func TestNonConstGlobalInitializerRejected(t *testing.T) {
-	_, err := CompileSource("nc.mpl", `
+	_, err := Compile(source.NewFile("nc.mpl", `
 var a = 1;
 var b = a + 1;
-func main() {}`, eblock.Config{})
+func main() {}`), Opts{})
 	if err == nil || !strings.Contains(err.Error(), "constant expression") {
 		t.Errorf("err = %v", err)
 	}
@@ -123,7 +123,7 @@ sem s = 1;
 shared sv;
 func w() { P(s); sv = sv + 1; V(s); }
 func main() { spawn w(); }`
-	bare, err := CompileBareSource("b.mpl", src)
+	bare, err := CompileBare(source.NewFile("b.mpl", src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func main() {
 	print(x);
 }`
 	filtered := mustCompile(t, src, eblock.Config{})
-	lit, err := CompileUnfiltered(filtered.File, eblock.Config{})
+	lit, err := compileUnfiltered(filtered.File, eblock.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ shared sv;
 sem done = 0;
 func w() { sv = sv + 1; V(done); }
 func main() { spawn w(); spawn w(); P(done); P(done); print(sv); }`
-	art, err := CompileWithObs(source.NewFile("obs.mpl", src), eblock.DefaultConfig(), sink)
+	art, err := Compile(source.NewFile("obs.mpl", src), Opts{Config: eblock.DefaultConfig(), Sink: sink})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -316,15 +316,15 @@ func main() { spawn w(); spawn w(); P(done); P(done); print(sv); }`
 
 func TestCompileWithObsNilSinkMatchesCompile(t *testing.T) {
 	src := `func main() { print(2); }`
-	a, err := CompileSource("a.mpl", src, eblock.Config{})
+	a, err := Compile(source.NewFile("a.mpl", src), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompileWithObs(source.NewFile("a.mpl", src), eblock.Config{}, nil)
+	b, err := Compile(source.NewFile("a.mpl", src), Opts{Sink: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Prog.Disasm() != b.Prog.Disasm() {
-		t.Error("CompileWithObs(nil sink) produced different bytecode than Compile")
+		t.Error("an observed compile produced different bytecode than an unobserved one")
 	}
 }

@@ -1,10 +1,14 @@
 package compile
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
+	"ppd/internal/analysis/absint"
 	"ppd/internal/bytecode"
 	"ppd/internal/eblock"
+	"ppd/internal/progdb"
 	"ppd/internal/source"
 	"ppd/internal/workloads"
 )
@@ -20,7 +24,7 @@ func TestCompileCachedWarmReturnsFused(t *testing.T) {
 	file := source.NewFile(wl.Name+".mpl", wl.Src)
 	tab := bytecode.DefaultFusionTable()
 
-	cold, err := CompileCachedFused(file, cfg, dir, 0, tab, nil)
+	cold, err := Compile(file, Opts{Config: cfg, CacheDir: dir, Fusion: tab})
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -28,7 +32,7 @@ func TestCompileCachedWarmReturnsFused(t *testing.T) {
 	if want == 0 {
 		t.Fatal("cold fused compile produced no superinstructions")
 	}
-	warm, err := CompileCachedFused(file, cfg, dir, 0, tab, nil)
+	warm, err := Compile(file, Opts{Config: cfg, CacheDir: dir, Fusion: tab})
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
@@ -38,18 +42,48 @@ func TestCompileCachedWarmReturnsFused(t *testing.T) {
 
 	// Same directory, fusion off: must miss the fused entry and produce a
 	// clean program, not serve fused bytecode from the shared cache.
-	plain, err := CompileCachedFused(file, cfg, dir, 0, nil, nil)
+	plain, err := Compile(file, Opts{Config: cfg, CacheDir: dir, NoFusion: true})
 	if err != nil {
 		t.Fatalf("unfused: %v", err)
 	}
 	if got := plain.Prog.NumSuper(); got != 0 {
 		t.Errorf("unfused compile returned %d superinstructions from a shared cache dir", got)
 	}
-	warmPlain, err := CompileCachedFused(file, cfg, dir, 0, nil, nil)
+	warmPlain, err := Compile(file, Opts{Config: cfg, CacheDir: dir, NoFusion: true})
 	if err != nil {
 		t.Fatalf("warm unfused: %v", err)
 	}
 	if got := warmPlain.Prog.NumSuper(); got != 0 {
 		t.Errorf("warm unfused hit returned %d superinstructions", got)
+	}
+}
+
+// TestCacheKeyUsesResolvedFusionTable pins the cache key across the
+// fusion settings: a nil Opts.Fusion stores under the default table's
+// fingerprint (the same key an explicit default table gets) and NoFusion
+// under no table's, so entries written by either spelling keep hitting.
+func TestCacheKeyUsesResolvedFusionTable(t *testing.T) {
+	cfg := eblock.DefaultConfig()
+	wl := workloads.TokenRing(4, 100)
+	file := source.NewFile(wl.Name+".mpl", wl.Src)
+	var none *bytecode.FusionTable
+	for _, tc := range []struct {
+		name string
+		opts Opts
+		fp   string
+	}{
+		{"default", Opts{}, bytecode.DefaultFusionTable().Fingerprint()},
+		{"explicit default", Opts{Fusion: bytecode.DefaultFusionTable()}, bytecode.DefaultFusionTable().Fingerprint()},
+		{"no fusion", Opts{NoFusion: true}, none.Fingerprint()},
+	} {
+		dir := t.TempDir()
+		tc.opts.Config, tc.opts.CacheDir = cfg, dir
+		if _, err := Compile(file, tc.opts); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		key := progdb.CacheKey(file.Name, file.Content, cfg, tc.fp, absint.Fingerprint)
+		if _, err := os.Stat(filepath.Join(dir, key+".ppdc")); err != nil {
+			t.Errorf("%s: no entry under the resolved table's key: %v", tc.name, err)
+		}
 	}
 }

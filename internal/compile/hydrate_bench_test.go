@@ -24,10 +24,10 @@ func BenchmarkHydrate(b *testing.B) {
 		b.Run(wl.Name, func(b *testing.B) {
 			dir := b.TempDir()
 			file := source.NewFile(wl.Name+".mpl", wl.Src)
-			if _, err := CompileCached(file, cfg, dir, 0, nil); err != nil {
+			if _, err := Compile(file, Opts{Config: cfg, CacheDir: dir}); err != nil {
 				b.Fatal(err)
 			}
-			warm, err := CompileCached(file, cfg, dir, 0, nil)
+			warm, err := Compile(file, Opts{Config: cfg, CacheDir: dir})
 			if err != nil {
 				b.Fatal(err)
 			}

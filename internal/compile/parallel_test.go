@@ -55,14 +55,14 @@ func TestParallelByteIdentical(t *testing.T) {
 	cfg := eblock.DefaultConfig()
 	for name, src := range identitySources(t) {
 		file := source.NewFile(name, src)
-		seq, err := CompileSequential(file, cfg)
+		seq, err := Compile(file, Opts{Config: cfg, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", name, err)
 		}
 		want := progBytes(t, name, src, cfg, seq)
 		wantVet := seq.Vet(nil).Text()
 		for _, workers := range []int{0, 2, 4, 8} {
-			par, err := CompileWorkers(source.NewFile(name, src), cfg, workers, nil)
+			par, err := Compile(source.NewFile(name, src), Opts{Config: cfg, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -88,7 +88,7 @@ func TestCompileCachedColdWarm(t *testing.T) {
 	cfg := eblock.DefaultConfig()
 	for name, src := range identitySources(t) {
 		coldSink := obs.New()
-		cold, err := CompileCached(source.NewFile(name, src), cfg, dir, 0, coldSink)
+		cold, err := Compile(source.NewFile(name, src), Opts{Config: cfg, CacheDir: dir, Sink: coldSink})
 		if err != nil {
 			t.Fatalf("%s cold: %v", name, err)
 		}
@@ -96,7 +96,7 @@ func TestCompileCachedColdWarm(t *testing.T) {
 			t.Errorf("%s cold: misses = %d, want 1", name, got)
 		}
 		warmSink := obs.New()
-		warm, err := CompileCached(source.NewFile(name, src), cfg, dir, 0, warmSink)
+		warm, err := Compile(source.NewFile(name, src), Opts{Config: cfg, CacheDir: dir, Sink: warmSink})
 		if err != nil {
 			t.Fatalf("%s warm: %v", name, err)
 		}

@@ -11,7 +11,7 @@ import (
 
 // BenchmarkSharedPrelogFilter is E12, the ablation of the shared-prelog
 // cross-write filter: each workload's logged run compiled with the filter
-// (Compile) and without it (CompileUnfiltered, the literal §5.5 that logs
+// (Compile) and without it (compileUnfiltered, the literal §5.5 that logs
 // every shared read at every sync unit). log-B reports the bytes one run
 // logs.
 func BenchmarkSharedPrelogFilter(b *testing.B) {
@@ -23,7 +23,9 @@ func BenchmarkSharedPrelogFilter(b *testing.B) {
 		for _, variant := range []struct {
 			name    string
 			compile func(*source.File, eblock.Config) (*Artifacts, error)
-		}{{"filtered", Compile}, {"literal", CompileUnfiltered}} {
+		}{{"filtered", func(f *source.File, cfg eblock.Config) (*Artifacts, error) {
+			return Compile(f, Opts{Config: cfg})
+		}}, {"literal", compileUnfiltered}} {
 			b.Run(wl.Name+"/"+variant.name, func(b *testing.B) {
 				art, err := variant.compile(source.NewFile(wl.Name, wl.Src), eblock.DefaultConfig())
 				if err != nil {

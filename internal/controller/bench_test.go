@@ -7,6 +7,7 @@ import (
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
 	"ppd/internal/obs"
+	"ppd/internal/source"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
@@ -19,7 +20,7 @@ import (
 // ns/op is per restore; ckpts reports the checkpoints stored.
 func BenchmarkReplayTo(b *testing.B) {
 	wl := workloads.ProdCons(600)
-	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.DefaultConfig())
+	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func BenchmarkReplayTo(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			sink := obs.New()
-			c := NewWithConfig(art, v.Log, Config{
+			c := New(art, v.Log, Config{
 				Failure: v.Failure, Deadlock: v.Deadlock,
 				CheckpointEvery: k, Obs: sink,
 			})

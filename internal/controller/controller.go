@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"ppd/internal/ast"
-	"ppd/internal/bitset"
 	"ppd/internal/compile"
 	"ppd/internal/dynpdg"
 	"ppd/internal/emulation"
@@ -86,11 +85,9 @@ type Controller struct {
 	// runs at most once per controller.
 	races     []*race.Race
 	racesDone bool
-	noPrune   bool
 }
 
-// Config tunes a controller. The zero value reproduces the defaults the
-// positional constructor used to hard-code: a clean-exit execution, the
+// Config tunes a controller. The zero value is a clean-exit execution, the
 // shared GOMAXPROCS pool, DefaultCacheBound, no observation.
 type Config struct {
 	// Failure is the runtime error that halted execution, if any.
@@ -106,12 +103,6 @@ type Config struct {
 	// Obs receives debugging-phase metrics (debug.*, sched.*, race.*).
 	// nil disables observation at the cost of one nil check per query.
 	Obs *obs.Sink
-	// NoStaticPrune disables the static conflict-mask filter in Races():
-	// the detector scans every per-variable bucket, as it did before the
-	// analysis package existed. The race set is identical either way (the
-	// mask over-approximates dynamic conflicts); the switch exists for
-	// ablation and benchmarking.
-	NoStaticPrune bool
 	// CheckpointEvery is the record spacing K between ReplayTo state
 	// checkpoints: 0 means DefaultCheckpointEvery, < 0 disables
 	// checkpointing (every restore folds from the run's start). Smaller K
@@ -119,10 +110,11 @@ type Config struct {
 	CheckpointEvery int
 }
 
-// NewWithConfig builds a controller from the compiled artifacts and an
-// execution's logs. Per-process work (emulator construction, the parallel
-// graph's pass 1) fans out across the configured worker pool.
-func NewWithConfig(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *Controller {
+// New builds a controller from the compiled artifacts and an execution's
+// logs; cfg says how the execution ended and tunes the debugging phase.
+// Per-process work (emulator construction, the parallel graph's pass 1)
+// fans out across the configured worker pool.
+func New(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *Controller {
 	bound := cfg.CacheBound
 	if bound == 0 {
 		bound = DefaultCacheBound
@@ -136,7 +128,6 @@ func NewWithConfig(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *
 		Log:      pl,
 		Failure:  cfg.Failure,
 		Deadlock: cfg.Deadlock,
-		noPrune:  cfg.NoStaticPrune,
 		cache:    newIntervalLRU(bound),
 		ckEvery:  ckEvery,
 		ckpts:    make([][]ckpt, len(pl.Books)),
@@ -179,20 +170,6 @@ func NewWithConfig(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *
 	return c
 }
 
-// New is the thin compatibility constructor predating Config: failure and
-// deadlock describe how the execution ended, everything else defaults.
-func New(art *compile.Artifacts, pl *logging.ProgramLog, failure *vm.RuntimeError, deadlock bool) *Controller {
-	return NewWithConfig(art, pl, Config{Failure: failure, Deadlock: deadlock})
-}
-
-// SetCacheBound resizes the interval cache (entries beyond the new bound
-// are evicted oldest-first). n <= 0 removes the bound.
-func (c *Controller) SetCacheBound(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cEvicts.Add(int64(c.cache.setCap(n)))
-}
-
 // DropCache empties the interval cache, releasing every cached emulation
 // trace and dynamic graph, and returns the number of entries released.
 // The releases are reported as debug.cache.evictions. Session teardown
@@ -217,20 +194,6 @@ func (c *Controller) Emulations() int64 {
 	return n
 }
 
-// FromRun is a convenience constructor from a finished ModeLog VM.
-func FromRun(art *compile.Artifacts, v *vm.VM) *Controller {
-	return New(art, v.Log, v.Failure, v.Deadlock)
-}
-
-// FromRunConfig builds a controller from a finished ModeLog VM, taking the
-// execution outcome from the VM and everything else from cfg (whose Failure
-// and Deadlock fields are overwritten).
-func FromRunConfig(art *compile.Artifacts, v *vm.VM, cfg Config) *Controller {
-	cfg.Failure = v.Failure
-	cfg.Deadlock = v.Deadlock
-	return NewWithConfig(art, v.Log, cfg)
-}
-
 // NumProcs returns the number of processes in the execution.
 func (c *Controller) NumProcs() int { return c.Log.NumProcs() }
 
@@ -245,20 +208,17 @@ func (c *Controller) Emulator(pid int) *emulation.Emulator { return c.emus[pid] 
 // post-run, so the detector runs at most once per controller. The race set
 // is identical to race.Naive's (the detectors are golden-equivalent).
 //
-// Unless Config.NoStaticPrune is set, the detector is filtered by the
-// static conflict matrix of the artifacts' one vet result (Artifacts.Vet:
-// persisted, or computed once from the compile's facts): buckets of
-// variables no pair of processes can statically conflict on are skipped.
+// The detector is filtered by the static conflict matrix of the
+// artifacts' one vet result (Artifacts.Vet: persisted, or computed once
+// from the compile's facts): buckets of variables no pair of processes can
+// statically conflict on are skipped.
 // The filter cannot change the result — the matrix over-approximates
 // every dynamic conflict — it only removes work.
 func (c *Controller) Races() []*race.Race {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.racesDone {
-		var mask *bitset.Set
-		if !c.noPrune {
-			mask = c.Art.Vet(c.obs).Conflicts.Mask()
-		}
+		mask := c.Art.Vet(c.obs).Conflicts.Mask()
 		c.races = race.Detect(c.pgraph, race.Opts{Workers: c.pool.Workers(), Mask: mask, Sink: c.obs})
 		c.racesDone = true
 	}

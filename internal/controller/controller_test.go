@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"ppd/internal/source"
 	"strings"
 	"sync"
 	"testing"
@@ -17,14 +18,21 @@ import (
 
 func session(t *testing.T, src string, opts vm.Options) *Controller {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	opts.Mode = vm.ModeLog
 	v := vm.New(art.Prog, opts)
 	_ = v.Run()
-	return FromRun(art, v)
+	return fromRun(art, v, Config{})
+}
+
+// fromRun builds a controller over a finished ModeLog VM, taking the
+// execution outcome from the VM and everything else from cfg.
+func fromRun(art *compile.Artifacts, v *vm.VM, cfg Config) *Controller {
+	cfg.Failure, cfg.Deadlock = v.Failure, v.Deadlock
+	return New(art, v.Log, cfg)
 }
 
 func TestThreePhasePipeline(t *testing.T) {
@@ -39,7 +47,7 @@ func main() {
 	var r = f(20) / (g - 21);
 	print(r);
 }`
-	art, err := compile.CompileSource("pipeline.mpl", src, eblock.DefaultConfig())
+	art, err := compile.Compile(source.NewFile("pipeline.mpl", src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +70,7 @@ func main() {
 	}
 
 	// Debugging phase.
-	c := FromRun(art, v)
+	c := fromRun(art, v, Config{})
 	if c.Failure == nil {
 		t.Fatal("controller lost the failure")
 	}
@@ -338,15 +346,15 @@ func main() { print(f(21)); }`, vm.Options{})
 // two intervals: each switch must evict the other entry and re-emulate,
 // while repeated queries of the resident entry must not.
 func TestCacheLRUEviction(t *testing.T) {
-	c := session(t, `
+	const src = `
 func f() { print(1); }
 func g() { print(2); }
-func main() { f(); g(); }`, vm.Options{})
+func main() { f(); g(); }`
+	c := sessionConfig(t, src, vm.Options{}, Config{CacheBound: 1})
 	idxs := prelogs(c, 0)
 	if len(idxs) < 3 {
 		t.Fatalf("want >=3 intervals (main, f, g), got %d", len(idxs))
 	}
-	c.SetCacheBound(1)
 
 	a, b := idxs[1], idxs[2]
 	if _, err := c.Graph(0, a); err != nil {
@@ -376,8 +384,8 @@ func main() { f(); g(); }`, vm.Options{})
 		t.Error("evicted entry served without re-emulation")
 	}
 
-	// Raising the bound keeps both resident again.
-	c.SetCacheBound(8)
+	// A bound of 8 keeps both resident.
+	c = sessionConfig(t, src, vm.Options{}, Config{CacheBound: 8})
 	if _, err := c.Graph(0, a); err != nil {
 		t.Fatal(err)
 	}
@@ -493,14 +501,14 @@ func main() {
 // sessionConfig is session with an explicit Config.
 func sessionConfig(t *testing.T, src string, opts vm.Options, cfg Config) *Controller {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	opts.Mode = vm.ModeLog
 	v := vm.New(art.Prog, opts)
 	_ = v.Run()
-	return FromRunConfig(art, v, cfg)
+	return fromRun(art, v, cfg)
 }
 
 // prelogIndices lists the record indices of every prelog in pid's book.
@@ -573,21 +581,6 @@ func TestConfigUnboundedCacheNeverEvicts(t *testing.T) {
 	}
 }
 
-func TestSetCacheBoundCountsEvictions(t *testing.T) {
-	sink := obs.New()
-	c := sessionConfig(t, multiIntervalSrc, vm.Options{}, Config{CacheBound: -1, Obs: sink})
-	idxs := prelogIndices(c, 0)
-	for _, idx := range idxs {
-		if _, err := c.Graph(0, idx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.SetCacheBound(1)
-	if got, want := sink.Snapshot().Counter("debug.cache.evictions"), int64(len(idxs)-1); got != want {
-		t.Errorf("debug.cache.evictions after SetCacheBound(1) = %d, want %d", got, want)
-	}
-}
-
 func TestConfigWorkersSelectsPrivatePool(t *testing.T) {
 	c := sessionConfig(t, multiIntervalSrc, vm.Options{}, Config{Workers: 3})
 	if c.pool == sched.Shared() {
@@ -600,24 +593,6 @@ func TestConfigWorkersSelectsPrivatePool(t *testing.T) {
 	c2 := sessionConfig(t, multiIntervalSrc, vm.Options{}, Config{})
 	if c2.pool != sched.Shared() {
 		t.Error("zero Config must keep the shared pool")
-	}
-}
-
-func TestNewCompatEqualsZeroConfig(t *testing.T) {
-	src := multiIntervalSrc
-	art, err := compile.CompileSource("test.mpl", src, eblock.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog})
-	_ = v.Run()
-	a := New(art, v.Log, v.Failure, v.Deadlock)
-	b := NewWithConfig(art, v.Log, Config{Failure: v.Failure, Deadlock: v.Deadlock})
-	if a.Summary() != b.Summary() {
-		t.Errorf("summaries diverge:\n%s\nvs\n%s", a.Summary(), b.Summary())
-	}
-	if a.RaceReport() != b.RaceReport() {
-		t.Errorf("race reports diverge")
 	}
 }
 
@@ -657,7 +632,7 @@ func TestGraphEdgeOrderDeterministic(t *testing.T) {
 		workloads.Histo(4),
 		workloads.RacyCounter(3, 4, false),
 	} {
-		art, err := compile.CompileSource(wl.Name, wl.Src, eblock.DefaultConfig())
+		art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", wl.Name, err)
 		}
@@ -665,7 +640,7 @@ func TestGraphEdgeOrderDeterministic(t *testing.T) {
 		if err := v.Run(); err != nil {
 			t.Fatalf("%s: run: %v", wl.Name, err)
 		}
-		c1, c2 := FromRun(art, v), FromRun(art, v)
+		c1, c2 := fromRun(art, v, Config{}), fromRun(art, v, Config{})
 		multi := 0 // statements fed by more than one data edge
 		for pid := 0; pid < c1.NumProcs(); pid++ {
 			idxs := prelogs(c1, pid)

@@ -70,13 +70,6 @@ func (c *intervalLRU) evict() int {
 	return n
 }
 
-// setCap changes the bound, evicting immediately if the cache is over it.
-// It returns how many entries were evicted.
-func (c *intervalLRU) setCap(capacity int) int {
-	c.cap = capacity
-	return c.evict()
-}
-
 // drop empties the cache unconditionally (the bound is unchanged) and
 // returns how many entries were released.
 func (c *intervalLRU) drop() int {

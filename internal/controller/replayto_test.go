@@ -8,6 +8,7 @@ import (
 	"ppd/internal/eblock"
 	"ppd/internal/obs"
 	"ppd/internal/replay"
+	"ppd/internal/source"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
@@ -15,7 +16,7 @@ import (
 func replayToFixture(t *testing.T, cfg Config) (*Controller, *compile.Artifacts, *vm.VM) {
 	t.Helper()
 	wl := workloads.ProdCons(60)
-	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.DefaultConfig())
+	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -23,7 +24,7 @@ func replayToFixture(t *testing.T, cfg Config) (*Controller, *compile.Artifacts,
 	_ = v.Run()
 	cfg.Failure = v.Failure
 	cfg.Deadlock = v.Deadlock
-	return NewWithConfig(art, v.Log, cfg), art, v
+	return New(art, v.Log, cfg), art, v
 }
 
 func diffSnapshots(t *testing.T, ctx string, got, want *replay.Snapshot) {

@@ -7,20 +7,20 @@ import (
 
 	"ppd/internal/compile"
 	"ppd/internal/controller"
-	"ppd/internal/eblock"
+	"ppd/internal/source"
 	"ppd/internal/vm"
 )
 
 func startSession(t *testing.T, src string, opts vm.Options) *Session {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	opts.Mode = vm.ModeLog
 	v := vm.New(art.Prog, opts)
 	_ = v.Run()
-	s, err := New(controller.FromRun(art, v))
+	s, err := New(controller.New(art, v.Log, controller.Config{Failure: v.Failure, Deadlock: v.Deadlock}))
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -191,13 +191,13 @@ func TestSessionNodeDetails(t *testing.T) {
 }
 
 func TestSessionRunLoop(t *testing.T) {
-	art, err := compile.CompileSource("t.mpl", `func main() { var a = 1 / 0; }`, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("t.mpl", `func main() { var a = 1 / 0; }`), compile.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog})
 	_ = v.Run()
-	s, err := New(controller.FromRun(art, v))
+	s, err := New(controller.New(art, v.Log, controller.Config{Failure: v.Failure, Deadlock: v.Deadlock}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dynpdg
 
 import (
+	"ppd/internal/source"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // and builds the dynamic graph.
 func buildGraph(t *testing.T, src, fn string, cfg eblock.Config) (*Graph, *compile.Artifacts) {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, cfg)
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{Config: cfg})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

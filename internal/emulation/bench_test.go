@@ -1,9 +1,9 @@
 package emulation
 
 import (
+	"ppd/internal/source"
 	"testing"
 
-	"ppd/internal/bytecode"
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
 	"ppd/internal/logging"
@@ -21,7 +21,7 @@ import (
 func BenchmarkEmulateInto(b *testing.B) {
 	type job struct{ pid, idx int }
 	for _, wl := range workloads.Standard() {
-		art, err := compile.CompileFusedSource(wl.Name, wl.Src, eblock.DefaultConfig(), bytecode.DefaultFusionTable())
+		art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package emulation
 
 import (
+	"ppd/internal/source"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // logRun compiles src, runs it in ModeLog, and returns the artifacts + VM.
 func logRun(t *testing.T, src string, cfg eblock.Config, opts vm.Options) (*compile.Artifacts, *vm.VM) {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, cfg)
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{Config: cfg})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

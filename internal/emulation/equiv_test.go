@@ -11,6 +11,7 @@ import (
 	"ppd/internal/logging"
 	"ppd/internal/mplgen"
 	"ppd/internal/obs"
+	"ppd/internal/source"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
@@ -107,7 +108,7 @@ func TestEmuDispatchByteIdentical(t *testing.T) {
 				tab = bytecode.DefaultFusionTable()
 			}
 			t.Run(name, func(t *testing.T) {
-				art, err := compile.CompileFusedSource(tc.wl.Name, tc.wl.Src, tc.cfg, tab)
+				art, err := compile.Compile(source.NewFile(tc.wl.Name, tc.wl.Src), compile.Opts{Config: tc.cfg, Fusion: tab, NoFusion: tab == nil})
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
@@ -153,7 +154,7 @@ func FuzzEmuEquivalence(f *testing.F) {
 		if quantum < 1 || quantum > 1000 {
 			return
 		}
-		art, err := compile.CompileFusedSource("fuzz.mpl", src, eblock.DefaultConfig(), bytecode.DefaultFusionTable())
+		art, err := compile.Compile(source.NewFile("fuzz.mpl", src), compile.Opts{Config: eblock.DefaultConfig()})
 		if err != nil {
 			return // not a valid program; nothing to compare
 		}
@@ -185,7 +186,7 @@ func FuzzEmuEquivalence(f *testing.F) {
 // results stay identical to the first.
 func TestPoolReuseObservable(t *testing.T) {
 	tc := equivCases()[2] // prodcons: multiple procs and sync records
-	art, err := compile.CompileFusedSource(tc.wl.Name, tc.wl.Src, tc.cfg, bytecode.DefaultFusionTable())
+	art, err := compile.Compile(source.NewFile(tc.wl.Name, tc.wl.Src), compile.Opts{Config: tc.cfg})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -226,7 +227,7 @@ func TestPoolReuseObservable(t *testing.T) {
 // state into the next.
 func TestEmulateIntoRecycles(t *testing.T) {
 	tc := equivCases()[0] // matmul: arrays in globals and locals
-	art, err := compile.CompileFusedSource(tc.wl.Name, tc.wl.Src, tc.cfg, bytecode.DefaultFusionTable())
+	art, err := compile.Compile(source.NewFile(tc.wl.Name, tc.wl.Src), compile.Opts{Config: tc.cfg})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -256,7 +257,7 @@ func TestEmulateIntoRecycles(t *testing.T) {
 // pool's race gate.
 func TestEmulateConcurrentWidths(t *testing.T) {
 	tc := equivCases()[4] // tokenring: 5 processes, sync-heavy
-	art, err := compile.CompileFusedSource(tc.wl.Name, tc.wl.Src, tc.cfg, bytecode.DefaultFusionTable())
+	art, err := compile.Compile(source.NewFile(tc.wl.Name, tc.wl.Src), compile.Opts{Config: tc.cfg})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

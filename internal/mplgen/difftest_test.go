@@ -11,6 +11,7 @@ import (
 	"ppd/internal/parallel"
 	"ppd/internal/race"
 	"ppd/internal/replay"
+	"ppd/internal/source"
 	"ppd/internal/vm"
 )
 
@@ -52,12 +53,12 @@ func TestGeneratedProgramsDifferential(t *testing.T) {
 
 func checkProgram(t *testing.T, seed int64, src string, parallelMode bool) {
 	t.Helper()
-	inst, err := compile.CompileSource("gen.mpl", src, eblock.DefaultConfig())
+	inst, err := compile.Compile(source.NewFile("gen.mpl", src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Errorf("seed %d: compile: %v", seed, err)
 		return
 	}
-	bare, err := compile.CompileBareSource("gen.mpl", src)
+	bare, err := compile.CompileBare(source.NewFile("gen.mpl", src))
 	if err != nil {
 		t.Errorf("seed %d: compile bare: %v", seed, err)
 		return
@@ -177,7 +178,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGeneratedRacyPrograms(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		src := Generate(seed, RacyConfig())
-		art, err := compile.CompileSource("racy.mpl", src, eblock.DefaultConfig())
+		art, err := compile.Compile(source.NewFile("racy.mpl", src), compile.Opts{Config: eblock.DefaultConfig()})
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}

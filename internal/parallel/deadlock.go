@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ppd/internal/ast"
@@ -57,12 +59,9 @@ func (g *Graph) AnalyzeDeadlock() *DeadlockInfo {
 			}
 		}
 	}
-	// Gsn order is the execution order.
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].gsn < evs[j-1].gsn; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
+	// Gsn order is the execution order; gsns are unique, so the sort
+	// needs no stability.
+	slices.SortFunc(evs, func(a, b ev) int { return cmp.Compare(a.gsn, b.gsn) })
 	held := make(map[int]int) // obj -> holder pid (-1 none)
 	for _, e := range evs {
 		switch e.op {
@@ -126,14 +125,19 @@ func (d *DeadlockInfo) Report(globalName func(int) string, stmtText func(ast.Stm
 		}
 		sb.WriteByte('\n')
 	}
-	holders := false
+	var held []int
 	for obj, pid := range d.Holders {
 		if pid >= 0 {
-			if !holders {
-				sb.WriteString("likely held semaphores:\n")
-				holders = true
-			}
-			fmt.Fprintf(&sb, "  %s last acquired by P%d and never released\n", globalName(obj), pid)
+			held = append(held, obj)
+		}
+	}
+	if len(held) > 0 {
+		// GlobalID order: the map's iteration order must not leak into the
+		// report.
+		slices.Sort(held)
+		sb.WriteString("likely held semaphores:\n")
+		for _, obj := range held {
+			fmt.Fprintf(&sb, "  %s last acquired by P%d and never released\n", globalName(obj), d.Holders[obj])
 		}
 	}
 	return sb.String()

@@ -1,12 +1,12 @@
 package parallel
 
 import (
+	"ppd/internal/source"
 	"strings"
 	"testing"
 
 	"ppd/internal/ast"
 	"ppd/internal/compile"
-	"ppd/internal/eblock"
 	"ppd/internal/logging"
 	"ppd/internal/sched"
 	"ppd/internal/vm"
@@ -16,7 +16,7 @@ import (
 // builds the parallel dynamic graph.
 func execGraph(t *testing.T, src string, opts vm.Options) (*Graph, *compile.Artifacts, *vm.VM) {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -322,7 +322,7 @@ func main() {
 	V(b);
 	V(a);
 }`
-	art, err := compile.CompileSource("dl.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("dl.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,6 +356,54 @@ func main() {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
+	}
+}
+
+// TestDeadlockReportDeterministic renders the report of a deadlock with
+// three held semaphores many times: the holder lines must come out
+// identical on every call, in ascending GlobalID order.
+func TestDeadlockReportDeterministic(t *testing.T) {
+	art, err := compile.Compile(source.NewFile("dl.mpl", `
+sem a = 1;
+sem b = 1;
+sem started = 0;
+func w() { P(b); V(started); P(a); V(a); V(b); }
+func main() { P(a); spawn w(); P(started); P(b); V(b); V(a); }`), compile.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: 1})
+	if err := v.Run(); !v.Deadlock {
+		t.Fatalf("expected deadlock, got %v", err)
+	}
+	info := Build(v.Log, len(art.Prog.Globals)).AnalyzeDeadlock()
+	name := func(gid int) string { return art.Prog.Globals[gid].Name }
+	stmt := func(ast.StmtID) string { return "stmt" }
+	want := info.Report(name, stmt)
+	for i := 0; i < 20; i++ {
+		if got := info.Report(name, stmt); got != want {
+			t.Fatalf("report %d differs:\n%s\nfirst:\n%s", i, got, want)
+		}
+	}
+	_, held, ok := strings.Cut(want, "likely held semaphores:\n")
+	if !ok {
+		t.Fatalf("no holder section:\n%s", want)
+	}
+	gids := map[string]int{}
+	for gid, def := range art.Prog.Globals {
+		gids[def.Name] = gid
+	}
+	prev := -1
+	lines := strings.Split(strings.TrimSuffix(held, "\n"), "\n")
+	for _, line := range lines {
+		gid, ok := gids[strings.Fields(line)[0]]
+		if !ok || gid <= prev {
+			t.Fatalf("holders not in ascending GlobalID order:\n%s", held)
+		}
+		prev = gid
+	}
+	if len(lines) < 2 {
+		t.Fatalf("want >= 2 held semaphores, got:\n%s", held)
 	}
 }
 
@@ -544,7 +592,7 @@ func main() {
 	P(done); P(done); P(done);
 	print(a + b);
 }`
-	art, err := compile.CompileSource("det.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("det.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,16 @@ import (
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
 	"ppd/internal/progdb"
+	"ppd/internal/source"
 	"ppd/internal/workloads"
 )
 
-// cachedFrom compiles src and packages the artifacts the way CompileCached
-// stores them, vet result included.
+// cachedFrom compiles src and packages the artifacts the way a compile
+// with a CacheDir stores them, vet result included.
 func cachedFrom(t testing.TB, name, src string) *progdb.CachedProgram {
 	t.Helper()
 	cfg := eblock.DefaultConfig()
-	art, err := compile.CompileSource(name, src, cfg)
+	art, err := compile.Compile(source.NewFile(name, src), compile.Opts{Config: cfg})
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
 	"ppd/internal/progdb"
+	"ppd/internal/source"
 	"ppd/internal/workloads"
 )
 
@@ -83,7 +84,7 @@ func TestCodecRejectsCorruptSuper(t *testing.T) {
 func TestCodecPreservesWidenedAndFacts(t *testing.T) {
 	cfg := eblock.DefaultConfig()
 	w := workloads.Histo(20)
-	art, err := compile.CompileFusedSource(w.Name+".mpl", w.Src, cfg, bytecode.DefaultFusionTable())
+	art, err := compile.Compile(source.NewFile(w.Name+".mpl", w.Src), compile.Opts{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"ppd/internal/eblock"
 	"ppd/internal/obs"
 	"ppd/internal/parallel"
+	"ppd/internal/source"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
@@ -57,7 +58,7 @@ func TestMaskedEquivalentToUnfiltered(t *testing.T) {
 // detector, per the equivalence test above).
 func TestMaskPrunesShardedBuckets(t *testing.T) {
 	wl := workloads.Sharded(4, 40)
-	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -90,7 +91,7 @@ func TestMaskPrunesShardedBuckets(t *testing.T) {
 // without the lock) keeps the counter in its mask.
 func TestLocksetPrunesGuardedCounter(t *testing.T) {
 	wl := workloads.GuardedCounter(3, 25)
-	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.DefaultConfig())
+	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -117,7 +118,7 @@ func TestLocksetPrunesGuardedCounter(t *testing.T) {
 	}
 
 	control := workloads.RacyCounter(3, 25, true)
-	cart, err := compile.CompileSource(control.Name, control.Src, eblock.DefaultConfig())
+	cart, err := compile.Compile(source.NewFile(control.Name, control.Src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Fatalf("compile control: %v", err)
 	}
@@ -131,7 +132,7 @@ func TestLocksetPrunesGuardedCounter(t *testing.T) {
 // them instead of raw GlobalIDs.
 func TestRaceNamesFromGraph(t *testing.T) {
 	wl := workloads.RacyCounter(3, 10, false)
-	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -168,7 +169,7 @@ func TestRaceNamesFromGraph(t *testing.T) {
 // (BenchmarkRaceIndexed shape); E16 reports the same comparison.
 func BenchmarkRacePruned(b *testing.B) {
 	wl := workloads.Sharded(8, 120)
-	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"ppd/internal/logging"
 	"ppd/internal/obs"
 	"ppd/internal/parallel"
+	"ppd/internal/source"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
@@ -26,7 +27,7 @@ func detect(t *testing.T, src string, opts vm.Options) ([]*Race, *parallel.Graph
 // and returns the parallel graph with the artifacts.
 func buildGraph(tb testing.TB, wl *workloads.Workload, cfg eblock.Config, quantum int, seed int64) (*parallel.Graph, *compile.Artifacts) {
 	tb.Helper()
-	art, err := compile.CompileSource(wl.Name, wl.Src, cfg)
+	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: cfg})
 	if err != nil {
 		tb.Fatalf("%s: compile: %v", wl.Name, err)
 	}

@@ -5,14 +5,14 @@ import (
 	"testing"
 
 	"ppd/internal/compile"
-	"ppd/internal/eblock"
 	"ppd/internal/emulation"
+	"ppd/internal/source"
 	"ppd/internal/vm"
 )
 
 func logged(t *testing.T, src string, opts vm.Options) (*compile.Artifacts, *vm.VM) {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

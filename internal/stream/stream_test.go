@@ -11,6 +11,7 @@ import (
 	"ppd/internal/logging"
 	"ppd/internal/parallel"
 	"ppd/internal/race"
+	"ppd/internal/source"
 	"ppd/internal/stream"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
@@ -32,7 +33,7 @@ type capturedRun struct {
 
 func captureRun(tb testing.TB, name, src string, seed int64, quantum int) *capturedRun {
 	tb.Helper()
-	art, err := compile.CompileSource(name, src, eblock.DefaultConfig())
+	art, err := compile.Compile(source.NewFile(name, src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		tb.Fatalf("compile %s: %v", name, err)
 	}

@@ -13,6 +13,7 @@ import (
 	"ppd/internal/mplgen"
 	"ppd/internal/parallel"
 	"ppd/internal/race"
+	"ppd/internal/source"
 	"ppd/internal/workloads"
 )
 
@@ -31,7 +32,7 @@ type fusedRun struct {
 // disabled) and runs it under ModeLog, capturing every observable.
 func runLogged(t testing.TB, name, src string, cfg eblock.Config, tab *bytecode.FusionTable, seed int64, quantum int, maxSteps int64) *fusedRun {
 	t.Helper()
-	art, err := compile.CompileFusedSource(name, src, cfg, tab)
+	art, err := compile.Compile(source.NewFile(name, src), compile.Opts{Config: cfg, Fusion: tab, NoFusion: tab == nil})
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
@@ -99,7 +100,7 @@ func TestLogGoldenFusedVsUnfused(t *testing.T) {
 // can be compared as strings.
 func raceReport(t testing.TB, name, src string, cfg eblock.Config, tab *bytecode.FusionTable, seed int64, quantum int) (naive, detected string) {
 	t.Helper()
-	art, err := compile.CompileFusedSource(name, src, cfg, tab)
+	art, err := compile.Compile(source.NewFile(name, src), compile.Opts{Config: cfg, Fusion: tab, NoFusion: tab == nil})
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
@@ -145,11 +146,11 @@ func TestRacesFusedVsUnfused(t *testing.T) {
 // part of the contract, so pin it end to end through the public API).
 func TestVetFusedVsUnfused(t *testing.T) {
 	wl := workloads.RacyCounter(3, 50, false)
-	fused, err := compile.CompileFusedSource(wl.Name, wl.Src, eblock.DefaultConfig(), bytecode.DefaultFusionTable())
+	fused, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := compile.CompileFusedSource(wl.Name, wl.Src, eblock.DefaultConfig(), nil)
+	plain, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig(), NoFusion: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestVetFusedVsUnfused(t *testing.T) {
 // compiled with the default table.
 func TestFusionCoverage(t *testing.T) {
 	for _, wl := range workloads.Standard() {
-		art, err := compile.CompileFusedSource(wl.Name, wl.Src, eblock.DefaultConfig(), bytecode.DefaultFusionTable())
+		art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
 		if err != nil {
 			t.Fatalf("%s: %v", wl.Name, err)
 		}
@@ -193,7 +194,7 @@ func FuzzFusedEquivalence(f *testing.F) {
 		if quantum < 1 || quantum > 1000 {
 			return
 		}
-		if _, err := compile.CompileFusedSource("fuzz.mpl", src, eblock.DefaultConfig(), nil); err != nil {
+		if _, err := compile.Compile(source.NewFile("fuzz.mpl", src), compile.Opts{Config: eblock.DefaultConfig(), NoFusion: true}); err != nil {
 			return // not a valid program; nothing to compare
 		}
 		const maxSteps = 2_000_000 // bound runaway loops; both runs share it

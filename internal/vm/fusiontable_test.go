@@ -9,6 +9,7 @@ import (
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
 	"ppd/internal/obs"
+	"ppd/internal/source"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
@@ -23,7 +24,7 @@ func profileFusionHits(t *testing.T) []int64 {
 	t.Helper()
 	hits := make([]int64, bytecode.NumSuperOps)
 	for _, w := range workloads.Standard() {
-		art, err := compile.CompileFusedSource(w.Name, w.Src, eblock.DefaultConfig(), bytecode.AllPatterns())
+		art, err := compile.Compile(source.NewFile(w.Name, w.Src), compile.Opts{Config: eblock.DefaultConfig(), Fusion: bytecode.AllPatterns()})
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

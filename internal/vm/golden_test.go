@@ -9,6 +9,7 @@ import (
 
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
+	"ppd/internal/source"
 	"ppd/internal/workloads"
 )
 
@@ -45,7 +46,7 @@ func goldenCases() []struct {
 
 func goldenLogBytes(t *testing.T, wl *workloads.Workload, cfg eblock.Config, seed int64, quantum int) []byte {
 	t.Helper()
-	art, err := compile.CompileSource(wl.Name, wl.Src, cfg)
+	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: cfg})
 	if err != nil {
 		t.Fatalf("compile %s: %v", wl.Name, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
 	"ppd/internal/logging"
+	"ppd/internal/source"
 	"ppd/internal/workloads"
 )
 
@@ -14,7 +15,7 @@ import (
 // sink's bytes.
 func streamLogBytes(t *testing.T, wl *workloads.Workload, cfg eblock.Config, seed int64, quantum int) []byte {
 	t.Helper()
-	art, err := compile.CompileSource(wl.Name, wl.Src, cfg)
+	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: cfg})
 	if err != nil {
 		t.Fatalf("compile %s: %v", wl.Name, err)
 	}
@@ -83,7 +84,7 @@ func TestStreamedLogByteIdentical(t *testing.T) {
 // accumulates stats at Append time instead of scanning retained records.
 func TestStreamedStats(t *testing.T) {
 	tc := goldenCases()[2] // prodcons: sync records, prelogs, exits
-	art, err := compile.CompileSource(tc.wl.Name, tc.wl.Src, tc.cfg)
+	art, err := compile.Compile(source.NewFile(tc.wl.Name, tc.wl.Src), compile.Opts{Config: tc.cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,13 @@ import (
 	"ppd/internal/eblock"
 	"ppd/internal/logging"
 	"ppd/internal/obs"
+	"ppd/internal/source"
 )
 
 // run compiles and executes src, returning the VM and its print output.
 func run(t *testing.T, src string, opts Options) (*VM, string) {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -31,7 +32,7 @@ func run(t *testing.T, src string, opts Options) (*VM, string) {
 // runErr runs expecting a failure.
 func runErr(t *testing.T, src string, opts Options) (*VM, error) {
 	t.Helper()
-	art, err := compile.CompileSource("test.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -272,9 +273,9 @@ func main() {
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	art, err := compile.CompileSource("d.mpl", `
+	art, err := compile.Compile(source.NewFile("d.mpl", `
 sem a = 0;
-func main() { P(a); }`, eblock.Config{})
+func main() { P(a); }`), compile.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func main() {
 	P(done);
 	print(x);
 }`
-	art, err := compile.CompileSource("det.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("det.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +523,7 @@ func main() {
 	for (var i = 0; i < 200; i = i + 1) { s = s + i; }
 	print(s);
 }`
-	art, err := compile.CompileSource("sz.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("sz.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,11 +604,11 @@ func f(n int) int {
 	return s;
 }
 func main() { print(f(10)); }`
-	art, err := compile.CompileSource("a.mpl", src, eblock.DefaultConfig())
+	art, err := compile.Compile(source.NewFile("a.mpl", src), compile.Opts{Config: eblock.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := compile.CompileBareSource("a.mpl", src)
+	bare, err := compile.CompileBare(source.NewFile("a.mpl", src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -666,7 +667,7 @@ func main() {
 	P(done);
 	print(progress);
 }`
-	art, err := compile.CompileSource("bp.mpl", src, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("bp.mpl", src), compile.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -705,8 +706,8 @@ func main() {
 }
 
 func TestBreakpointNeverHitRunsToCompletion(t *testing.T) {
-	art, err := compile.CompileSource("nb.mpl", `
-func main() { print(1); }`, eblock.Config{})
+	art, err := compile.Compile(source.NewFile("nb.mpl", `
+func main() { print(1); }`), compile.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,11 +782,11 @@ func main() {
 }
 
 func TestMaxStepsBudget(t *testing.T) {
-	art, err := compile.CompileSource("inf.mpl", `
+	art, err := compile.Compile(source.NewFile("inf.mpl", `
 func main() {
 	var x = 0;
 	while (x == 0) { x = x * 1; }
-}`, eblock.Config{})
+}`), compile.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

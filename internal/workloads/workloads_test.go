@@ -6,6 +6,7 @@ import (
 
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
+	"ppd/internal/source"
 	"ppd/internal/vm"
 )
 
@@ -16,11 +17,11 @@ func TestWorkloadsCorrectAcrossModes(t *testing.T) {
 	for _, w := range Standard() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			art, err := compile.CompileSource(w.Name+".mpl", w.Src, eblock.DefaultConfig())
+			art, err := compile.Compile(source.NewFile(w.Name+".mpl", w.Src), compile.Opts{Config: eblock.DefaultConfig()})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			bare, err := compile.CompileBareSource(w.Name+".mpl", w.Src)
+			bare, err := compile.CompileBare(source.NewFile(w.Name+".mpl", w.Src))
 			if err != nil {
 				t.Fatalf("compile bare: %v", err)
 			}
@@ -51,7 +52,7 @@ func TestWorkloadsCorrectAcrossModes(t *testing.T) {
 func TestRacyCounterVariants(t *testing.T) {
 	for _, protect := range []bool{false, true} {
 		w := RacyCounter(3, 10, protect)
-		art, err := compile.CompileSource(w.Name+".mpl", w.Src, eblock.Config{})
+		art, err := compile.Compile(source.NewFile(w.Name+".mpl", w.Src), compile.Opts{})
 		if err != nil {
 			t.Fatalf("protect=%t: %v", protect, err)
 		}

@@ -5,12 +5,13 @@
 // PPD debugs MPL programs (a small C-like parallel language with processes,
 // semaphores, and message channels) in the paper's three phases:
 //
-//  1. Preparatory — Compile produces the instrumented object code, the
+//  1. Preparatory — CompileOpts produces the instrumented object code, the
 //     static program dependence graph, the e-block plan, and the program
 //     database.
-//  2. Execution — Program.RunLogged executes on the simulated shared-memory
-//     multiprocessor while generating the (small) incremental-tracing log:
-//     prelogs, postlogs, shared prelogs, and synchronization records.
+//  2. Execution — Program.RunLoggedContext executes on the simulated
+//     shared-memory multiprocessor while generating the (small)
+//     incremental-tracing log: prelogs, postlogs, shared prelogs, and
+//     synchronization records.
 //  3. Debugging — Execution.Debugger answers flowback queries by emulating
 //     individual e-block intervals on demand; Execution.Races applies the
 //     happened-before race detector (Definitions 6.1–6.4).
@@ -144,17 +145,17 @@ type Options struct {
 	// escape hatch. Fused and unfused compiles never share a persistent
 	// cache entry (the fusion fingerprint is part of the cache key).
 	NoFusion bool
-	// LogSink, when non-nil, streams the execution log during RunLogged:
-	// each record is encoded in PPD's binary format as it is produced and
-	// its memory recycled, so a long run retains compact encoded bytes
-	// instead of record structures. At run end the sink holds exactly the
+	// LogSink, when non-nil, streams the execution log during
+	// RunLoggedContext: each record is encoded in PPD's binary format as it
+	// is produced and its memory recycled, so a long run retains compact
+	// encoded bytes instead of record structures. At run end the sink holds exactly the
 	// bytes WriteLog would have produced. A streamed Execution keeps no
 	// in-memory records — load the sink's bytes back with Program.ReadLog
 	// before starting the debugging phase.
 	LogSink io.Writer
 
-	// Monitor runs the online analysis pipeline during RunLogged: the
-	// record stream is teed into an incremental graph builder and a
+	// Monitor runs the online analysis pipeline during RunLoggedContext:
+	// the record stream is teed into an incremental graph builder and a
 	// frontier race detector that work concurrently with the run, with
 	// memory bounded by the synchronization frontier instead of the run
 	// length. The final race set (Execution.OnlineResult) is
@@ -222,35 +223,22 @@ type Program struct {
 	sink *obs.Sink // preparatory-phase metrics (compile.*)
 }
 
-// Compile runs the preparatory phase with the default e-block configuration.
-//
-// Deprecated: Compile predates the session API. New code should use
-// OpenSession, which bundles compilation (through the shared artifact
-// cache), the logged run, and the debugging-phase controller behind one
-// closable handle; use CompileOpts when the phases must be driven
-// separately.
-func Compile(filename, src string) (*Program, error) {
-	return CompileWithConfig(filename, src, eblock.DefaultConfig())
-}
-
-// CompileWithConfig compiles with an explicit e-block configuration.
-func CompileWithConfig(filename, src string, cfg BlockConfig) (*Program, error) {
-	return CompileOpts(filename, src, cfg, Options{})
-}
-
 // CompileOpts compiles with an explicit configuration and the
 // preparatory-phase knobs from opts: Workers bounds the pipeline's
 // per-function fan-out, and CacheDir (or the PPD_CACHE_DIR environment
 // variable) enables the persistent artifact cache. A cache hit returns a
 // Program whose semantic layers rebuild lazily on the first debugging-phase
-// query; Run, RunLogged, and Vet work immediately off the cached bytecode.
+// query; Run, RunLoggedContext, and Vet work immediately off the cached
+// bytecode.
 func CompileOpts(filename, src string, cfg BlockConfig, opts Options) (*Program, error) {
 	sink := obs.New()
-	tab := bytecode.DefaultFusionTable()
-	if opts.NoFusion {
-		tab = nil
-	}
-	art, err := compile.CompileCachedFused(source.NewFile(filename, src), cfg, cacheDir(opts), opts.Workers, tab, sink)
+	art, err := compile.Compile(source.NewFile(filename, src), compile.Opts{
+		Config:   cfg,
+		Workers:  opts.Workers,
+		Sink:     sink,
+		CacheDir: cacheDir(opts),
+		NoFusion: opts.NoFusion,
+	})
 	if err != nil {
 		return nil, &compileErr{err}
 	}
@@ -324,24 +312,16 @@ func (p *Program) ProfileOpsContext(ctx context.Context, opts Options) (*OpStats
 	return st, v.Run()
 }
 
-// RunLogged executes the paper's execution phase, producing the log the
-// debugging phase consumes. The returned Execution is valid even when the
-// program failed or deadlocked — that is precisely when it is interesting.
-// With Options.LogSink set, the log is streamed to the sink instead of
-// retained; a sink write failure on a run that otherwise succeeded is
-// returned as the error.
+// RunLoggedContext executes the paper's execution phase, producing the log
+// the debugging phase consumes. The returned Execution is valid even when
+// the program failed or deadlocked — that is precisely when it is
+// interesting. With Options.LogSink set, the log is streamed to the sink
+// instead of retained; a sink write failure on a run that otherwise
+// succeeded is returned as the error.
 //
-// Deprecated: RunLogged predates the session API. New code should use
-// OpenSession (one handle over all three phases) or, when the phases must
-// be driven separately, RunLoggedContext, which also honors cancellation.
-func (p *Program) RunLogged(opts Options) (*Execution, error) {
-	return p.RunLoggedContext(context.Background(), opts)
-}
-
-// RunLoggedContext is the execution phase honoring ctx: the scheduler
-// checks for cancellation once per scheduling slice, and a cancelled run
-// returns ctx's error (no Execution — cancellation is an infrastructure
-// outcome, not a program one).
+// The scheduler checks ctx for cancellation once per scheduling slice, and
+// a cancelled run returns ctx's error (no Execution — cancellation is an
+// infrastructure outcome, not a program one).
 func (p *Program) RunLoggedContext(ctx context.Context, opts Options) (*Execution, error) {
 	if err := opts.validate(p.art); err != nil {
 		return nil, err
@@ -410,7 +390,10 @@ func (p *Program) RunLoggedContext(ctx context.Context, opts Options) (*Executio
 		online = pipe.Finish()
 	}
 	e := &Execution{Program: p, vm: v, opts: opts, sink: sink, online: online}
-	if runErr != nil && v.Failure == nil && !v.Deadlock {
+	switch {
+	case v.Failure != nil || v.Deadlock:
+		e.err = runErr // the program's own outcome
+	case runErr != nil:
 		// The first-race self-abort shows up as a cancelled run, but it is
 		// a *successful* monitored outcome: the caller's own context is
 		// still live and the pipeline holds the race that triggered it.
@@ -452,6 +435,7 @@ type Execution struct {
 	opts    Options
 	sink    *obs.Sink // execution- and debugging-phase metrics
 
+	err           error         // the runtime failure or deadlock that ended the run
 	online        *StreamResult // set when the run was monitored
 	stoppedAtRace bool
 
@@ -509,6 +493,11 @@ func (e *Execution) Failed() error {
 // Deadlocked reports whether the execution ended with blocked processes.
 func (e *Execution) Deadlocked() bool { return e.vm.Deadlock }
 
+// Err returns what ended the run abnormally, worded as Program.Run reports
+// it: the runtime failure, a deadlock naming the blocked-process count, or
+// nil for a clean exit (and for an execution loaded by ReadLog).
+func (e *Execution) Err() error { return e.err }
+
 // AtBreakpoint reports whether the execution halted at Options.BreakAt.
 func (e *Execution) AtBreakpoint() bool { return e.vm.BreakHit }
 
@@ -548,7 +537,7 @@ func (p *Program) ReadLog(r io.Reader, opts Options) (*Execution, error) {
 		vm:      v,
 		opts:    opts,
 		sink:    sink,
-		ctl: controller.NewWithConfig(p.art, pl, controller.Config{
+		ctl: controller.New(p.art, pl, controller.Config{
 			Workers:    opts.Workers,
 			CacheBound: opts.CacheBound,
 			Obs:        sink,
@@ -565,13 +554,22 @@ func (e *Execution) Controller() *Controller {
 			// failing loudly beats a nil-database panic downstream.
 			panic(fmt.Sprintf("ppd: hydrate artifacts: %v", err))
 		}
-		e.ctl = controller.FromRunConfig(e.Program.art, e.vm, controller.Config{
+		e.ctl = controller.New(e.Program.art, e.vm.Log, controller.Config{
+			Failure:    e.vm.Failure,
+			Deadlock:   e.vm.Deadlock,
 			Workers:    e.opts.Workers,
 			CacheBound: e.opts.CacheBound,
 			Obs:        e.sink,
 		})
 	}
 	return e.ctl
+}
+
+// dropCache releases the controller's interval cache, if one was built.
+func (e *Execution) dropCache() {
+	if e.ctl != nil {
+		e.ctl.DropCache()
+	}
 }
 
 // Debugger starts an interactive flowback session over this execution.

@@ -2,11 +2,13 @@ package ppd
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"ppd/internal/controller"
+	"ppd/internal/eblock"
 	"ppd/internal/logging"
 )
 
@@ -23,7 +25,7 @@ func main() {
 `
 
 func TestFacadeCompileRun(t *testing.T) {
-	prog, err := Compile("ok.mpl", `func main() { print(6 * 7); }`)
+	prog, err := CompileOpts("ok.mpl", `func main() { print(6 * 7); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +39,17 @@ func TestFacadeCompileRun(t *testing.T) {
 }
 
 func TestFacadeCompileError(t *testing.T) {
-	if _, err := Compile("bad.mpl", `func main() { x = ; }`); err == nil {
+	if _, err := CompileOpts("bad.mpl", `func main() { x = ; }`, eblock.DefaultConfig(), Options{}); err == nil {
 		t.Fatal("expected compile error")
 	}
 }
 
 func TestFacadeDebugFlow(t *testing.T) {
-	prog, err := Compile("crash.mpl", facadeCrash)
+	prog, err := CompileOpts("crash.mpl", facadeCrash, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLogged(Options{})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +71,15 @@ func TestFacadeDebugFlow(t *testing.T) {
 }
 
 func TestFacadeRaces(t *testing.T) {
-	prog, err := Compile("racy.mpl", `
+	prog, err := CompileOpts("racy.mpl", `
 shared counter;
 sem done = 0;
 func w() { counter = counter + 1; V(done); }
-func main() { spawn w(); spawn w(); P(done); P(done); }`)
+func main() { spawn w(); spawn w(); P(done); P(done); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLogged(Options{Quantum: 1})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{Quantum: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +92,11 @@ func main() { spawn w(); spawn w(); P(done); P(done); }`)
 }
 
 func TestFacadeWhatIf(t *testing.T) {
-	prog, err := Compile("crash.mpl", facadeCrash)
+	prog, err := CompileOpts("crash.mpl", facadeCrash, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLogged(Options{})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +120,14 @@ func TestFacadeWhatIf(t *testing.T) {
 }
 
 func TestFacadeLogRoundTrip(t *testing.T) {
-	prog, err := Compile("rt.mpl", `
+	prog, err := CompileOpts("rt.mpl", `
 var g;
 func f() { g = g + 1; }
-func main() { f(); f(); print(g); }`)
+func main() { f(); f(); print(g); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLogged(Options{})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,18 +157,18 @@ func main() { f(); f(); print(g); }`)
 }
 
 func TestFacadeBreakpoint(t *testing.T) {
-	prog, err := Compile("bp.mpl", `
+	prog, err := CompileOpts("bp.mpl", `
 var g;
 func main() {
 	g = 1;
 	g = 2;
 	print(g);
-}`)
+}`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Statement 2 is "g = 2".
-	exec, err := prog.RunLogged(Options{BreakAt: 2})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{BreakAt: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func main() {
 // branch: the error wraps ErrInvalidOptions (errors.Is), and the message
 // names both the offending field and the offending value.
 func TestOptionsValidation(t *testing.T) {
-	prog, err := Compile("v.mpl", `func main() { print(1); }`)
+	prog, err := CompileOpts("v.mpl", `func main() { print(1); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +222,8 @@ func TestOptionsValidation(t *testing.T) {
 					t.Errorf("%s error %q does not include value %s", api, msg, tc.value)
 				}
 			}
-			_, rlErr := prog.RunLogged(tc.opts)
-			check("RunLogged", rlErr)
+			_, rlErr := prog.RunLoggedContext(context.Background(), tc.opts)
+			check("RunLoggedContext", rlErr)
 			check("Run", prog.Run(tc.opts))
 			_, poErr := prog.ProfileOps(tc.opts)
 			check("ProfileOps", poErr)
@@ -230,11 +232,11 @@ func TestOptionsValidation(t *testing.T) {
 		})
 	}
 	// Zero values still select defaults.
-	if _, err := prog.RunLogged(Options{}); err != nil {
+	if _, err := prog.RunLoggedContext(context.Background(), Options{}); err != nil {
 		t.Errorf("zero options rejected: %v", err)
 	}
 	// The unknown-statement message must point at `ppd dump`.
-	_, err = prog.RunLogged(Options{BreakAt: 9999})
+	_, err = prog.RunLoggedContext(context.Background(), Options{BreakAt: 9999})
 	if err == nil || !strings.Contains(err.Error(), "no such statement") {
 		t.Errorf("BreakAt=9999 error = %v, want 'no such statement'", err)
 	}
@@ -244,15 +246,15 @@ func TestOptionsValidation(t *testing.T) {
 // calls perform zero re-detection. The observable is race.runs — the
 // detector increments it once per actual scan.
 func TestFacadeRacesMemoized(t *testing.T) {
-	prog, err := Compile("racy.mpl", `
+	prog, err := CompileOpts("racy.mpl", `
 shared counter;
 sem done = 0;
 func w() { counter = counter + 1; V(done); }
-func main() { spawn w(); spawn w(); P(done); P(done); }`)
+func main() { spawn w(); spawn w(); P(done); P(done); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLogged(Options{Quantum: 1})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{Quantum: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,15 +273,15 @@ func main() { spawn w(); spawn w(); P(done); P(done); }`)
 }
 
 func TestFacadeStatsCoversAllThreePhases(t *testing.T) {
-	prog, err := Compile("stats.mpl", `
+	prog, err := CompileOpts("stats.mpl", `
 shared counter;
 sem done = 0;
 func w() { counter = counter + 1; V(done); }
-func main() { spawn w(); spawn w(); P(done); P(done); print(counter); }`)
+func main() { spawn w(); spawn w(); P(done); P(done); print(counter); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLogged(Options{Quantum: 1, Output: &bytes.Buffer{}})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{Quantum: 1, Output: &bytes.Buffer{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +331,7 @@ func main() { spawn w(); spawn w(); P(done); P(done); print(counter); }`)
 
 func TestFacadeWorkersAndCacheBoundPlumbed(t *testing.T) {
 	// f exceeds the leaf-inline threshold so each call is its own interval.
-	prog, err := Compile("wcb.mpl", `
+	prog, err := CompileOpts("wcb.mpl", `
 var g;
 func f() {
 	g = g + 1;
@@ -342,11 +344,11 @@ func f() {
 	g = g + 1;
 	g = g + 1;
 }
-func main() { f(); f(); f(); print(g); }`)
+func main() { f(); f(); f(); print(g); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLogged(Options{Workers: 2, CacheBound: 1})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{Workers: 2, CacheBound: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,12 +384,12 @@ func main() { f(); f(); f(); print(g); }`)
 }
 
 func TestFacadeTraceStreamsScopes(t *testing.T) {
-	prog, err := Compile("tr.mpl", `func main() { print(3); }`)
+	prog, err := CompileOpts("tr.mpl", `func main() { print(3); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var trace bytes.Buffer
-	exec, err := prog.RunLogged(Options{Output: &bytes.Buffer{}, Trace: &trace})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{Output: &bytes.Buffer{}, Trace: &trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,15 +405,15 @@ func TestFacadeTraceStreamsScopes(t *testing.T) {
 // execution reloaded from its persisted log answers debugging queries
 // identically to the in-memory one.
 func TestFacadeLogRoundTripParity(t *testing.T) {
-	prog, err := Compile("parity.mpl", `
+	prog, err := CompileOpts("parity.mpl", `
 shared counter;
 sem done = 0;
 func w() { counter = counter + 1; V(done); }
-func main() { spawn w(); spawn w(); P(done); P(done); print(counter); }`)
+func main() { spawn w(); spawn w(); P(done); P(done); print(counter); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLogged(Options{Quantum: 1, Output: &bytes.Buffer{}})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{Quantum: 1, Output: &bytes.Buffer{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,11 +464,11 @@ func main() { spawn w(); spawn w(); P(done); P(done); print(counter); }`)
 }
 
 func TestFacadeVet(t *testing.T) {
-	prog, err := Compile("racy.mpl", `
+	prog, err := CompileOpts("racy.mpl", `
 shared counter;
 sem done = 0;
 func w() { counter = counter + 1; V(done); }
-func main() { spawn w(); spawn w(); P(done); P(done); }`)
+func main() { spawn w(); spawn w(); P(done); P(done); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,39 +225,8 @@ func (s *Session) Stats() *Stats {
 // ErrSessionBusy instead of queueing, and a Close that lands mid-run
 // wins: the finished run is discarded and Rerun returns ErrSessionClosed.
 func (s *Session) Rerun(ctx context.Context, opts Options) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrSessionClosed
-	}
-	if s.rerunning {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: re-run already in flight", ErrSessionBusy)
-	}
-	s.rerunning = true
-	s.mu.Unlock()
-
-	exec, err := s.prog.RunLoggedContext(ctx, opts)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rerunning = false
-	if err != nil {
-		return err
-	}
-	if s.closed {
-		// Close won the race and already released the session's
-		// debugging-phase memory; release the new execution's too.
-		if exec.ctl != nil {
-			exec.ctl.DropCache()
-		}
-		return ErrSessionClosed
-	}
-	if s.exec.ctl != nil {
-		s.exec.ctl.DropCache()
-	}
-	s.exec = exec
-	return nil
+	_, err := s.swapRun(ctx, opts)
+	return err
 }
 
 // StreamRaces is Rerun with the online analysis pipeline attached: the
@@ -274,6 +243,20 @@ func (s *Session) Rerun(ctx context.Context, opts Options) error {
 // StreamRaces returns ErrSessionClosed (fn may already have observed
 // races by then; they were real).
 func (s *Session) StreamRaces(ctx context.Context, opts Options, fn func(RaceEvent)) (*StreamResult, error) {
+	opts.Monitor = true
+	opts.OnRace = fn
+	exec, err := s.swapRun(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	return exec.OnlineResult(), nil
+}
+
+// swapRun is the run-and-swap protocol Rerun and StreamRaces share: it
+// claims the session's one re-run slot, runs the program under opts
+// outside the lock, and installs the new execution — unless Close landed
+// meanwhile, in which case the new execution's memory is released too.
+func (s *Session) swapRun(ctx context.Context, opts Options) (*Execution, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -286,8 +269,6 @@ func (s *Session) StreamRaces(ctx context.Context, opts Options, fn func(RaceEve
 	s.rerunning = true
 	s.mu.Unlock()
 
-	opts.Monitor = true
-	opts.OnRace = fn
 	exec, err := s.prog.RunLoggedContext(ctx, opts)
 
 	s.mu.Lock()
@@ -297,16 +278,14 @@ func (s *Session) StreamRaces(ctx context.Context, opts Options, fn func(RaceEve
 		return nil, err
 	}
 	if s.closed {
-		if exec.ctl != nil {
-			exec.ctl.DropCache()
-		}
+		// Close won the race and already released the session's
+		// debugging-phase memory; release the new execution's too.
+		exec.dropCache()
 		return nil, ErrSessionClosed
 	}
-	if s.exec.ctl != nil {
-		s.exec.ctl.DropCache()
-	}
+	s.exec.dropCache()
 	s.exec = exec
-	return exec.OnlineResult(), nil
+	return exec, nil
 }
 
 // Close releases the session's debugging-phase memory: the controller's
@@ -321,8 +300,6 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.exec.ctl != nil {
-		s.exec.ctl.DropCache()
-	}
+	s.exec.dropCache()
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"ppd/internal/eblock"
 	"ppd/internal/race"
 	"ppd/internal/workloads"
 )
@@ -255,7 +256,7 @@ func TestCloseDuringRerun(t *testing.T) {
 // daemon's error mapping) can tell "fix the program" from "the run
 // didn't happen".
 func TestCompileErrSentinel(t *testing.T) {
-	_, err := Compile("bad.mpl", "func main( {")
+	_, err := CompileOpts("bad.mpl", "func main( {", eblock.DefaultConfig(), Options{})
 	if !errors.Is(err, ErrCompile) {
 		t.Errorf("Compile syntax error = %v, want ErrCompile", err)
 	}
@@ -281,7 +282,7 @@ func main() { while (spin > 0) { spin = spin + 1; spin = spin - 1; } }`
 	if _, err := OpenSessionContext(ctx, "spin.mpl", src, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("OpenSessionContext with cancelled ctx = %v, want context.Canceled", err)
 	}
-	prog, err := Compile("spin.mpl", src)
+	prog, err := CompileOpts("spin.mpl", src, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +304,11 @@ func w() { counter = counter + 1; V(done); }
 func main() { spawn w(); spawn w(); P(done); P(done); }`
 	opts := Options{Seed: 5, Quantum: 1}
 
-	prog, err := Compile("racy.mpl", src)
+	prog, err := CompileOpts("racy.mpl", src, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLogged(opts)
+	exec, err := prog.RunLoggedContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ppd/internal/eblock"
 	"ppd/internal/workloads"
 )
 
@@ -13,11 +14,11 @@ import (
 // attached and returns the execution.
 func monitoredWorkload(t *testing.T, wl *workloads.Workload, opts Options) *Execution {
 	t.Helper()
-	prog, err := Compile(wl.Name+".mpl", wl.Src)
+	prog, err := CompileOpts(wl.Name+".mpl", wl.Src, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLogged(opts)
+	exec, err := prog.RunLoggedContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func BenchmarkFirstRace(b *testing.B) {
 		workloads.RacyTicker(3, 2000),
 		workloads.RacyCounter(3, 2000, false),
 	} {
-		prog, err := Compile(wl.Name+".mpl", wl.Src)
+		prog, err := CompileOpts(wl.Name+".mpl", wl.Src, eblock.DefaultConfig(), Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func BenchmarkFirstRace(b *testing.B) {
 			b.Run(wl.Name+"/"+variant.name, func(b *testing.B) {
 				var exec *Execution
 				for i := 0; i < b.N; i++ {
-					if exec, err = prog.RunLogged(variant.opts); err != nil {
+					if exec, err = prog.RunLoggedContext(context.Background(), variant.opts); err != nil {
 						b.Fatal(err)
 					}
 				}
