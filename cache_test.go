@@ -225,9 +225,9 @@ func debugView(t *testing.T, prog *Program) string {
 				if err != nil {
 					t.Fatalf("P%d what-if %s=%d: %v", pid, def.Name, v, err)
 				}
-				fmt.Fprintf(&sb, "whatif %s=%d: changed %v, globals %v, err %v, completed %v, %d events\n",
+				fmt.Fprintf(&sb, "whatif %s=%d: changed %v, globals %v, err %v, completed %v, %d steps\n",
 					def.Name, v, wi.ChangedGlobals, wi.Modified.Globals, wi.Modified.Err,
-					wi.Modified.Completed, len(wi.Modified.Trace.Events))
+					wi.Modified.Completed, wi.Modified.Steps)
 				break
 			}
 		}

@@ -1,6 +1,10 @@
 package ppd
 
-import "errors"
+import (
+	"errors"
+
+	"ppd/internal/vm"
+)
 
 // Sentinel errors of the session-centric API. Callers branch on them with
 // errors.Is; every error returned by this package that falls into one of
@@ -38,6 +42,12 @@ var (
 	// failures) never carry it, so callers can tell "fix the program"
 	// apart from "the run didn't happen".
 	ErrCompile = errors.New("ppd: compile failed")
+
+	// ErrBudget reports a replay stopped by the VM's instruction budget
+	// (200M steps). No call returns it: a what-if whose override keeps
+	// the interval from ending (a raised loop bound) reports it in
+	// WhatIfResult.Modified.Err, where errors.Is finds it.
+	ErrBudget = vm.ErrBudget
 )
 
 // compileErr tags a preparatory-phase failure so errors.Is(err,

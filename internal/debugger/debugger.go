@@ -424,7 +424,7 @@ func (s *Session) cmdWhatIf(out io.Writer, args []string) {
 		fmt.Fprintf(out, "no global %q (what-if currently targets globals)\n", name)
 		return
 	}
-	res, err := replay.WhatIf(s.C.Art.Prog, s.C.Log.Books[s.pid], s.interval,
+	res, err := s.C.WhatIf(s.pid, s.interval,
 		[]replay.Override{{Slot: -1, Global: sym.GlobalID, Value: val}})
 	if err != nil {
 		fmt.Fprintf(out, "whatif: %v\n", err)

@@ -32,20 +32,32 @@ import (
 	"ppd/internal/vm"
 )
 
-// Result is the outcome of emulating one e-block instance.
-type Result struct {
-	Trace *trace.Buffer
+// Outcome is how a replay of one e-block instance ended — everything a
+// what-if reports, and the part of a Result that needs no trace.
+type Outcome struct {
 	// Globals is the global state at the end of the emulated interval.
 	Globals []vm.Value
-	// RecordsConsumed is how many log records the interval covered
-	// (including the root prelog and postlog).
-	RecordsConsumed int
 	// Completed reports whether the interval's own postlog was reached
 	// (false when the program originally halted inside the interval).
 	Completed bool
 	// Err is the runtime failure reproduced during replay, if any (the
-	// original failure the user is debugging).
+	// original failure the user is debugging), or vm.ErrBudget when the
+	// replay ran out of instruction budget.
 	Err error
+	// Steps is the number of instructions the replay executed.
+	Steps int64
+}
+
+// Result is the outcome of emulating one e-block instance, with the trace
+// the replay recorded.
+type Result struct {
+	Outcome
+	// Trace is the interval's full event trace (nil for an untraced
+	// what-if replay: see EmulateFresh).
+	Trace *trace.Buffer
+	// RecordsConsumed is how many log records the interval covered
+	// (including the root prelog and postlog).
+	RecordsConsumed int
 }
 
 // Emulator re-executes e-block instances of one process. Prog and Book are
@@ -59,7 +71,8 @@ type Emulator struct {
 
 	// Generic forces every Emulate through a fresh VM driven by the
 	// generic instruction loop — the byte-identity oracle the pooled
-	// fast-dispatch path is pinned against in tests and benchmarks.
+	// fast-dispatch path is pinned against in tests and benchmarks — and
+	// every EmulateFresh through a fresh VM that records the full trace.
 	Generic bool
 
 	// pool supplies reusable replay contexts. New installs a private
@@ -175,24 +188,47 @@ func (e *Emulator) EmulateInto(prelogIdx int, res *Result) error {
 	if e.Generic {
 		return e.emulateGeneric(prelogIdx, pre, res)
 	}
-	meta := e.Prog.Blocks[pre.Block]
-	fn := e.Prog.Funcs[meta.FuncIdx]
-
+	tb := res.Trace
+	if tb == nil {
+		tb = &trace.Buffer{}
+	}
+	tb.Reset(0)
 	ctx := e.pool.get()
-	machine := ctx.machine
-	machine.ResetEmu()
 	ctx.h = hooks{
 		em:      e,
-		machine: machine,
+		machine: ctx.machine,
 		cursor:  prelogIdx + 1,
 		root:    int(pre.Block),
 	}
-	machine.SetHooks(&ctx.h)
+	proc := ctx.start(e.Prog, pre, &ctx.h, tb)
+	runErr := ctx.machine.RunEmu(proc)
+	e.pool.note(ctx.machine.EmuDispatchStats())
 
-	// Build the initial frame from the prelog in the context's slot
-	// scratch. Slots the prelog does not cover must come out as zero
-	// Values — StartEmuProc's overlay clones every caller slot, zeros
-	// included, so the fresh-VM path never sees frame-setup arrays either.
+	res.Trace = proc.Tbuf
+	res.Globals = ctx.machine.SnapshotInto(res.Globals)
+	res.RecordsConsumed = ctx.h.cursor - prelogIdx
+	res.Completed = ctx.h.sawRootPostlog
+	res.Err = runErr
+	res.Steps = ctx.machine.Steps
+	e.pool.put(ctx)
+	return nil
+}
+
+// start positions the context's VM at the start of the interval whose
+// prelog is pre, with hooks installed and tb as the trace buffer (nil
+// runs untraced). The initial frame is built from the prelog in the
+// context's slot scratch: slots the prelog does not cover must come out
+// as zero Values — StartEmuProc's overlay clones every caller slot, zeros
+// included, so the fresh-VM path never sees frame-setup arrays either.
+// The prelog's used globals go on top of the initial values ResetEmu
+// restored (recycling array backing where lengths match).
+func (ctx *Context) start(prog *bytecode.Program, pre *logging.Record, h vm.Hooks, tb *trace.Buffer) *vm.Proc {
+	meta := prog.Blocks[pre.Block]
+	fn := prog.Funcs[meta.FuncIdx]
+	machine := ctx.machine
+	machine.ResetEmu()
+	machine.SetHooks(h)
+
 	slots := ctx.slots
 	if cap(slots) < fn.NumSlots {
 		slots = make([]vm.Value, fn.NumSlots)
@@ -215,44 +251,26 @@ func (e *Emulator) EmulateInto(prelogIdx int, res *Result) error {
 			slots[i] = vm.Value{}
 		}
 	}
-	startPC := meta.PrelogPC + 1
-	if meta.Kind == bytecode.BlockFunc {
-		startPC = fn.PrelogPCAt(int(pre.Block)) + 1
-	}
-	tb := res.Trace
-	if tb == nil {
-		tb = &trace.Buffer{}
-	}
-	tb.Reset(0)
-	proc := machine.StartEmuProcOwned(fn, slots, startPC, tb)
-
-	// Used globals from the prelog (ResetEmu restored initial values,
-	// recycling array backing where lengths match).
+	ctx.slots, ctx.cover = slots, cover
+	proc := machine.StartEmuProcOwned(fn, slots, startPC(prog, pre), tb)
 	for gid, val := range pre.Globals.All() {
 		machine.Globals[gid] = cloneInto(machine.Globals[gid], val)
 	}
+	return proc
+}
 
-	runErr := machine.RunEmu(proc)
-	e.pool.note(machine.EmuDispatchStats())
-
-	res.Trace = proc.Tbuf
-	res.Globals = machine.SnapshotInto(res.Globals)
-	res.RecordsConsumed = ctx.h.cursor - prelogIdx
-	res.Completed = ctx.h.sawRootPostlog
-	res.Err = runErr
-
-	ctx.slots = slots
-	ctx.cover = cover
-	e.pool.put(ctx)
-	return nil
+// startPC is the instruction after the prelog that opens pre's interval.
+func startPC(prog *bytecode.Program, pre *logging.Record) int {
+	meta := prog.Blocks[pre.Block]
+	if meta.Kind == bytecode.BlockFunc {
+		return prog.Funcs[meta.FuncIdx].PrelogPCAt(int(pre.Block)) + 1
+	}
+	return meta.PrelogPC + 1
 }
 
 // emulateGeneric is the original Emulate body, kept as the oracle: a fresh
 // VM per call, generic single-step dispatch, no pooled state anywhere.
 func (e *Emulator) emulateGeneric(prelogIdx int, pre *logging.Record, res *Result) error {
-	meta := e.Prog.Blocks[pre.Block]
-	fn := e.Prog.Funcs[meta.FuncIdx]
-
 	machine := vm.New(e.Prog, vm.Options{Mode: vm.ModeEmulate, EmuGeneric: true})
 	h := &hooks{
 		em:      e,
@@ -261,32 +279,33 @@ func (e *Emulator) emulateGeneric(prelogIdx int, pre *logging.Record, res *Resul
 		root:    int(pre.Block),
 	}
 	machine.SetHooks(h)
-
-	// Build the initial frame from the prelog.
-	slots := make([]vm.Value, fn.NumSlots)
-	for slot, val := range pre.Locals.All() {
-		if slot < len(slots) {
-			slots[slot] = val.Clone()
-		}
-	}
-	startPC := meta.PrelogPC + 1
-	if meta.Kind == bytecode.BlockFunc {
-		startPC = fn.PrelogPCAt(int(pre.Block)) + 1
-	}
-	proc := machine.StartEmuProc(fn, slots, startPC)
-
-	// Used globals from the prelog.
-	for gid, val := range pre.Globals.All() {
-		machine.Globals[gid] = val.Clone()
-	}
-
+	proc := startFresh(machine, pre)
 	runErr := machine.RunEmu(proc)
 	res.Trace = proc.Tbuf
 	res.Globals = machine.Snapshot()
 	res.RecordsConsumed = h.cursor - prelogIdx
 	res.Completed = h.sawRootPostlog
 	res.Err = runErr
+	res.Steps = machine.Steps
 	return nil
+}
+
+// startFresh starts the emulation process of a newly built VM at pre's
+// interval: the frame and the used globals are clones of the prelog's
+// values, and the process records a trace.
+func startFresh(machine *vm.VM, pre *logging.Record) *vm.Proc {
+	fn := machine.Prog.Funcs[machine.Prog.Blocks[pre.Block].FuncIdx]
+	slots := make([]vm.Value, fn.NumSlots)
+	for slot, val := range pre.Locals.All() {
+		if slot < len(slots) {
+			slots[slot] = val.Clone()
+		}
+	}
+	proc := machine.StartEmuProc(fn, slots, startPC(machine.Prog, pre))
+	for gid, val := range pre.Globals.All() {
+		machine.Globals[gid] = val.Clone()
+	}
+	return proc
 }
 
 // cloneInto is val.Clone() that recycles dst's array backing when the
@@ -527,47 +546,64 @@ func (h *hooks) OnPostlog(p *vm.Proc, blockID int, hasRet bool) (bool, error) {
 // prelogs are ignored, and only received message values are replayed from
 // the log. This is the §5.7 what-if mode — changes to the prelog propagate
 // through the whole interval instead of being overwritten by logged values.
-func (e *Emulator) EmulateFresh(prelogIdx int) (*Result, error) {
+//
+// pre, when non-nil, is the prelog the replay starts from in place of the
+// book's record at prelogIdx: a what-if passes a copy with its overrides
+// applied. The book is never modified; the replay reads it only after
+// prelogIdx, to find logged recv values.
+//
+// The replay runs untraced on a pooled replay context, so the Result
+// carries the Outcome alone (Trace nil, RecordsConsumed 0) and a runaway
+// override costs instructions, not memory, until vm.ErrBudget stops it.
+// Untraced, the VM dispatches generically, so these replays stay out of
+// the pool's debug.emu.dispatch.* split. Under Generic it runs the oracle
+// instead: a fresh VM that records the full trace.
+func (e *Emulator) EmulateFresh(prelogIdx int, pre *logging.Record) (*Result, error) {
 	if prelogIdx < 0 || prelogIdx >= len(e.Book.Records) {
 		return nil, fmt.Errorf("emulation: prelog index %d out of range", prelogIdx)
 	}
-	pre := e.Book.Records[prelogIdx]
-	if pre.Kind != logging.RecPrelog {
-		return nil, fmt.Errorf("emulation: record %d is %s, not a prelog", prelogIdx, pre.Kind)
+	rec := e.Book.Records[prelogIdx]
+	if rec.Kind != logging.RecPrelog {
+		return nil, fmt.Errorf("emulation: record %d is %s, not a prelog", prelogIdx, rec.Kind)
+	}
+	if pre == nil {
+		pre = rec
 	}
 	e.runs.Add(1)
-	meta := e.Prog.Blocks[pre.Block]
-	fn := e.Prog.Funcs[meta.FuncIdx]
+	if e.Generic {
+		return e.emulateFreshGeneric(prelogIdx, pre), nil
+	}
+	ctx := e.pool.get()
+	ctx.fh = freshHooks{em: e, cursor: prelogIdx + 1, root: int(pre.Block)}
+	proc := ctx.start(e.Prog, pre, &ctx.fh, nil)
+	runErr := ctx.machine.RunEmu(proc)
+	res := &Result{Outcome: Outcome{
+		Globals:   ctx.machine.Snapshot(),
+		Completed: ctx.fh.sawRootPostlog,
+		Err:       runErr,
+		Steps:     ctx.machine.Steps,
+	}}
+	e.pool.put(ctx)
+	return res, nil
+}
 
+// emulateFreshGeneric is the original EmulateFresh body, kept as the
+// oracle: a fresh VM per call, recording the full trace.
+func (e *Emulator) emulateFreshGeneric(prelogIdx int, pre *logging.Record) *Result {
 	machine := vm.New(e.Prog, vm.Options{Mode: vm.ModeEmulate})
 	h := &freshHooks{em: e, cursor: prelogIdx + 1, root: int(pre.Block)}
 	machine.SetHooks(h)
-
-	slots := make([]vm.Value, fn.NumSlots)
-	for slot, val := range pre.Locals.All() {
-		if slot < len(slots) {
-			slots[slot] = val.Clone()
-		}
-	}
-	startPC := meta.PrelogPC + 1
-	if meta.Kind == bytecode.BlockFunc {
-		startPC = fn.PrelogPCAt(int(pre.Block)) + 1
-	}
-	proc := machine.StartEmuProc(fn, slots, startPC)
-	for gid, val := range pre.Globals.All() {
-		machine.Globals[gid] = val.Clone()
-	}
-
+	proc := startFresh(machine, pre)
 	runErr := machine.RunEmu(proc)
-	res := &Result{
-		Trace:     proc.Tbuf,
-		Globals:   machine.Snapshot(),
-		Completed: h.sawRootPostlog,
+	return &Result{
+		Outcome: Outcome{
+			Globals:   machine.Snapshot(),
+			Completed: h.sawRootPostlog,
+			Err:       runErr,
+			Steps:     machine.Steps,
+		},
+		Trace: proc.Tbuf,
 	}
-	if runErr != nil {
-		res.Err = runErr
-	}
-	return res, nil
 }
 
 // freshHooks implement the what-if replay: re-execute everything, replaying

@@ -439,12 +439,15 @@ func main() {
 	if err != nil || faithful.Err != nil {
 		t.Fatalf("faithful: %v/%v", err, faithful.Err)
 	}
-	fresh, err := em.EmulateFresh(idx)
+	fresh, err := em.EmulateFresh(idx, nil)
 	if err != nil || fresh.Err != nil {
 		t.Fatalf("fresh: %v/%v", err, fresh.Err)
 	}
 	if !fresh.Completed {
 		t.Error("fresh replay should complete")
+	}
+	if fresh.Trace != nil {
+		t.Error("the pooled what-if replay must record no trace")
 	}
 	// Same final globals either way when nothing is overridden.
 	for gid := range faithful.Globals {
@@ -453,11 +456,21 @@ func main() {
 			t.Errorf("global %d: faithful=%d fresh=%d", gid, fv.Int, gv.Int)
 		}
 	}
-	// The fresh trace is longer: callees re-execute instead of being
-	// substituted.
-	if fresh.Trace.Len() <= faithful.Trace.Len() {
+	// The fresh replay does more: callees re-execute instead of being
+	// substituted. The traced oracle shows it as a longer trace, and it
+	// runs the same instructions as the untraced replay.
+	em.Generic = true
+	oracle, err := em.EmulateFresh(idx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.Trace.Len() <= faithful.Trace.Len() {
 		t.Errorf("fresh trace (%d events) should exceed faithful (%d)",
-			fresh.Trace.Len(), faithful.Trace.Len())
+			oracle.Trace.Len(), faithful.Trace.Len())
+	}
+	if fresh.Steps <= faithful.Steps || fresh.Steps != oracle.Steps {
+		t.Errorf("steps: fresh %d, oracle %d, faithful %d; want fresh = oracle > faithful",
+			fresh.Steps, oracle.Steps, faithful.Steps)
 	}
 }
 
@@ -473,7 +486,7 @@ func main() { print(fact(5)); }`
 	// Fresh-emulate the OUTERMOST fact interval: the recursion re-executes
 	// entirely (depth counting on the root block id).
 	idx := em.PrelogIndices(blockIDOf(t, art, "fact"))[0]
-	res, err := em.EmulateFresh(idx)
+	res, err := em.EmulateFresh(idx, nil)
 	if err != nil || res.Err != nil {
 		t.Fatalf("fresh: %v/%v", err, res.Err)
 	}
@@ -494,8 +507,9 @@ func main() {
 }`
 	art, v := logRun(t, src, eblock.Config{}, vm.Options{Quantum: 1})
 	em := New(art.Prog, v.Log.Books[0])
+	em.Generic = true // the values show in the oracle's trace
 	idx := em.PrelogIndices(blockIDOf(t, art, "main"))[0]
-	res, err := em.EmulateFresh(idx)
+	res, err := em.EmulateFresh(idx, nil)
 	if err != nil || res.Err != nil {
 		t.Fatalf("fresh: %v/%v", err, res.Err)
 	}
@@ -508,10 +522,10 @@ func main() {
 func TestEmulateFreshErrors(t *testing.T) {
 	art, v := logRun(t, `func main() { print(1); }`, eblock.Config{}, vm.Options{})
 	em := New(art.Prog, v.Log.Books[0])
-	if _, err := em.EmulateFresh(-1); err == nil {
+	if _, err := em.EmulateFresh(-1, nil); err == nil {
 		t.Error("negative index should fail")
 	}
-	if _, err := em.EmulateFresh(0); err == nil {
+	if _, err := em.EmulateFresh(0, nil); err == nil {
 		t.Error("non-prelog record should fail")
 	}
 }

@@ -16,12 +16,14 @@ const DefaultPoolBound = 4
 // Context is one reusable replay context: a ModeEmulate VM plus the
 // scratch buffers an emulation needs (frame slots, coverage marks, hook
 // state). A context is checked out of a Pool for exactly one EmulateInto
-// call at a time; across calls the VM's globals, process, root frame, and
-// slot arrays are recycled, so steady-state replay allocates only what the
-// interval itself demands (trace growth, re-executed callee frames).
+// or EmulateFresh call at a time; across calls the VM's globals, process,
+// root frame, and slot arrays are recycled, so steady-state replay
+// allocates only what the interval itself demands (trace growth,
+// re-executed callee frames).
 type Context struct {
 	machine *vm.VM
-	h       hooks
+	h       hooks      // faithful replay (EmulateInto)
+	fh      freshHooks // what-if replay (EmulateFresh)
 	slots   []vm.Value
 	cover   []bool
 }

@@ -5,11 +5,12 @@
 // global state at any completed interval boundary can be rebuilt by folding
 // postlogs in order, without re-executing anything.
 //
-// On top of restoration, the package supports the paper's what-if
+// On top of restoration, the package defines the paper's what-if
 // experiments: "the user could change the values of variables and re-start
 // the program from the same point to see the effect of these changes" —
-// WhatIf re-runs one e-block instance from its prelog with selected values
-// overridden and reports how the outcome changes.
+// an Override names one changed value, and Controller.WhatIf re-runs one
+// e-block instance from its prelog with the overrides applied and reports
+// how the outcome changes in a WhatIfResult.
 package replay
 
 import (
@@ -95,69 +96,14 @@ type Override struct {
 }
 
 // WhatIfResult compares the original interval with the re-run.
+// Controller.WhatIf produces it; each side is the outcome of an untraced
+// replay, so it holds end state and failure, never a trace.
 type WhatIfResult struct {
-	Original *emulation.Result
-	Modified *emulation.Result
+	Original *emulation.Outcome
+	Modified *emulation.Outcome
 
 	// ChangedGlobals lists GlobalIDs whose end-of-interval value differs.
 	ChangedGlobals []int
-}
-
-// WhatIf re-executes the e-block instance at prelogIdx twice — once
-// faithfully, once with the overrides applied to the prelog — and diffs the
-// outcomes. The log itself is never mutated.
-func WhatIf(prog *bytecode.Program, book *logging.Book, prelogIdx int, overrides []Override) (*WhatIfResult, error) {
-	em := emulation.New(prog, book)
-	orig, err := em.EmulateFresh(prelogIdx)
-	if err != nil {
-		return nil, err
-	}
-
-	// Clone the book with the prelog modified.
-	mod := &logging.Book{PID: book.PID, Records: append([]*logging.Record(nil), book.Records...)}
-	pre := *book.Records[prelogIdx]
-	pre.Locals = pre.Locals.Clone()
-	pre.Globals = pre.Globals.Clone()
-	for _, o := range overrides {
-		if o.Slot >= 0 {
-			pre.Locals.Set(o.Slot, logging.Value{Int: o.Value})
-		} else {
-			pre.Globals.Set(o.Global, logging.Value{Int: o.Value})
-		}
-	}
-	mod.Records[prelogIdx] = &pre
-
-	em2 := emulation.New(prog, mod)
-	modified, err := em2.EmulateFresh(prelogIdx)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &WhatIfResult{Original: orig, Modified: modified}
-	for gid := range orig.Globals {
-		if !valueEqual(orig.Globals[gid], modified.Globals[gid]) {
-			res.ChangedGlobals = append(res.ChangedGlobals, gid)
-		}
-	}
-	return res, nil
-}
-
-func valueEqual(a, b vm.Value) bool {
-	if (a.Arr == nil) != (b.Arr == nil) {
-		return false
-	}
-	if a.Arr == nil {
-		return a.Int == b.Int
-	}
-	if len(a.Arr) != len(b.Arr) {
-		return false
-	}
-	for i := range a.Arr {
-		if a.Arr[i] != b.Arr[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ResumeFrom restarts live execution from a restored snapshot: a fresh VM

@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"fmt"
-
 	"ppd/internal/ast"
 	"ppd/internal/bytecode"
 	"ppd/internal/trace"
@@ -124,7 +122,7 @@ func (v *VM) runEmuTab(p *Proc) error {
 		v.Steps++
 		if v.Steps > maxSteps {
 			d.f.PC, d.f.Stack = d.pc, d.stack
-			return fmt.Errorf("emulation budget exhausted")
+			return ErrBudget
 		}
 		if d.pc >= len(d.code) {
 			d.f.PC, d.f.Stack = d.pc, d.stack

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 
 	"ppd/internal/ast"
@@ -15,6 +16,11 @@ import (
 // and shared-prelog instructions are delegated to the Hooks implementation
 // (package emulation), which replays them from the log.
 const ModeEmulate Mode = 99
+
+// ErrBudget is what RunEmu returns when an emulation runs past
+// Options.MaxSteps. A replay that would otherwise never stop — a what-if
+// override that raises a loop bound — ends with it in bounded time.
+var ErrBudget = errors.New("emulation budget exhausted")
 
 // Hooks customizes instruction semantics under ModeEmulate.
 type Hooks interface {
@@ -33,7 +39,9 @@ type Hooks interface {
 
 	// OnCall decides whether a call re-executes or is substituted by the
 	// callee's postlog (§5.2). When skipped, it applies the postlog's
-	// global values and returns the logged return value.
+	// global values and returns the logged return value. args is the
+	// VM's scratch when p records no trace: a hook may keep it only for a
+	// traced process.
 	OnCall(p *Proc, callee *bytecode.Func, args []int64) (skip bool, ret int64, hasRet bool, err error)
 
 	// OnShPrelog re-supplies shared-variable values at a sync-unit start
@@ -89,10 +97,14 @@ func (v *VM) StartEmuProcOwned(fn *bytecode.Func, slots []Value, startPC int, tb
 }
 
 // RunEmu drives the single emulation process until the hooks stop it, it
-// returns from its root frame, or it fails. Traced emulation (the normal
-// case — StartEmuProc always attaches a buffer) runs through the
-// ModeEmulate dispatch table (emudispatch.go); Options.EmuGeneric forces
-// the generic loop, which is the fast path's byte-identity oracle.
+// returns from its root frame, or it fails. A traced process (one with a
+// trace buffer: StartEmuProc always attaches one, StartEmuProcOwned
+// attaches the caller's) runs through the ModeEmulate dispatch table
+// (emudispatch.go); Options.EmuGeneric forces the generic loop, which is
+// the fast path's byte-identity oracle. An untraced process (what-if
+// replays, which need only the outcome) runs the generic loop with the
+// tracing predicate hoisted off. Running past Options.MaxSteps returns
+// ErrBudget.
 func (v *VM) RunEmu(p *Proc) error {
 	if !v.Opts.EmuGeneric && v.tracing(p) {
 		return v.runEmuTab(p)
@@ -116,7 +128,7 @@ func (v *VM) runEmuGenericLoop(p *Proc) error {
 	for p.Status == StatusReady {
 		v.Steps++
 		if v.Steps > v.Opts.MaxSteps {
-			return fmt.Errorf("emulation budget exhausted")
+			return ErrBudget
 		}
 		v.stepT(p, tracing)
 		if v.Failure != nil {
@@ -357,7 +369,7 @@ func (v *VM) stepT(p *Proc, tracing bool) {
 
 	case bytecode.OpCall:
 		callee := v.Prog.Funcs[in.A]
-		args := v.popArgs(f, in.B, tracing || v.Opts.Mode == ModeEmulate)
+		args := v.popArgs(f, in.B, tracing)
 		if v.Opts.Mode == ModeEmulate {
 			// The hook appends EvCallSkipped and the substituted postlog's
 			// EvWrite events itself when it skips.

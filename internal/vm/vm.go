@@ -465,10 +465,11 @@ func (v *VM) newFrame(p *Proc, fn *bytecode.Func, args []int64) *Frame {
 }
 
 // releaseFrame recycles a popped frame onto the process's freelist.
-// Emulation frames are excluded: hooks may retain references across the
-// emulated interval.
+// Traced emulation frames are excluded: hooks may retain references across
+// the emulated interval. An untraced emulation (a what-if replay) recycles
+// like a run, so its allocations do not grow with the calls it re-executes.
 func (v *VM) releaseFrame(p *Proc, f *Frame) {
-	if v.Opts.Mode == ModeEmulate || len(p.spare) >= maxSpareFrames {
+	if (v.Opts.Mode == ModeEmulate && p.Tbuf != nil) || len(p.spare) >= maxSpareFrames {
 		return
 	}
 	f.Fn = nil

@@ -611,6 +611,8 @@ func (e *Execution) RaceReport() string { return e.Controller().RaceReport() }
 
 // WhatIf re-executes the e-block interval at record prelogIdx of process
 // pid with the named global overridden, and reports what changed (§5.7).
+// A replay the override keeps from ending stops at the instruction budget,
+// and errors.Is(Modified.Err, ErrBudget) holds.
 func (e *Execution) WhatIf(pid, prelogIdx int, global string, value int64) (*WhatIfResult, error) {
 	if err := e.Program.art.Hydrate(); err != nil {
 		return nil, err
@@ -619,6 +621,6 @@ func (e *Execution) WhatIf(pid, prelogIdx int, global string, value int64) (*Wha
 	if sym == nil {
 		return nil, fmt.Errorf("ppd: no global %q", global)
 	}
-	return replay.WhatIf(e.Program.art.Prog, e.vm.Log.Books[pid], prelogIdx,
+	return e.Controller().WhatIf(pid, prelogIdx,
 		[]replay.Override{{Slot: -1, Global: sym.GlobalID, Value: value}})
 }

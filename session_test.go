@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -365,5 +366,48 @@ func TestRacesReuseCompileFacts(t *testing.T) {
 			t.Errorf("%s: pruned race report differs from the unpruned reference:\n got: %s\nwant: %s", wl.Name, got, want)
 		}
 		sess.Close()
+	}
+}
+
+// TestWhatIfBudget is the runaway what-if: raising a loop bound to 1<<40
+// keeps the modified replay from ending, so it runs into the VM's default
+// instruction budget. It must come back with ErrBudget in bounded memory —
+// an untraced replay allocates nothing per instruction.
+func TestWhatIfBudget(t *testing.T) {
+	sess, err := OpenSession("loop.mpl", `
+var n = 10;
+var total;
+func main() {
+	var i = 0;
+	while (i < n) { total = total + i; i = i + 1; }
+	print(total);
+}`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	// An identity what-if first, so the controller and its replay
+	// contexts exist before the measured one.
+	if _, err := sess.WhatIf(0, -1, "n", 10); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := sess.WhatIf(0, -1, "n", 1<<40)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Original.Err != nil || !res.Original.Completed {
+		t.Errorf("original replay: err %v, completed %v", res.Original.Err, res.Original.Completed)
+	}
+	if !errors.Is(res.Modified.Err, ErrBudget) || res.Modified.Completed {
+		t.Errorf("modified replay: err %v, completed %v; want ErrBudget", res.Modified.Err, res.Modified.Completed)
+	}
+	if got := res.Modified.Err.Error(); got != "emulation budget exhausted" {
+		t.Errorf("budget error text %q", got)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("runaway what-if allocated %d bytes, want < 1 MiB", alloc)
 	}
 }
