@@ -67,9 +67,6 @@ func norm(v Val) Val {
 	return v
 }
 
-// IsTop reports whether v carries no information.
-func (v Val) IsTop() bool { return !v.Bot && v.Lo == NegInf && v.Hi == PosInf && !v.NZ }
-
 // Bounded reports whether v is reachable and has at least one finite bound.
 func (v Val) Bounded() bool { return !v.Bot && (v.Lo != NegInf || v.Hi != PosInf) }
 

@@ -148,7 +148,7 @@ type Func struct {
 	// the function carries no prelogs (bare compilation).
 	PrelogAt map[int]int
 
-	// Super is the superinstruction side table produced by Fuse: parallel
+	// Super is the superinstruction side table produced by FuseCert: parallel
 	// to Code, Super[pc].Op != SuperNone means the fused sequence of
 	// Super[pc].W instructions starts at pc. Code itself is never
 	// rewritten, so all PC-based metadata stays valid; nil when the

@@ -4,7 +4,7 @@
 // `ppd stats -ops`) shows that a handful of short sequences dominate the
 // interpreter's dynamic dispatch: load/binop/store triples from assignments
 // like `k = k + 1`, compare-and-branch pairs from loop conditions, and
-// immediate stores from initializers. Fuse recognizes those sequences and
+// immediate stores from initializers. FuseCert recognizes those sequences and
 // records a superinstruction for each match in a *side table* parallel to
 // Func.Code — the original instructions are never rewritten, so jump
 // targets, PC-keyed metadata (BlockMeta.PrelogPC/PostPC), breakpoints, and
@@ -232,23 +232,17 @@ func divBin(op Op) bool { return op == OpDiv || op == OpMod }
 // CertOnly reports whether the shape requires a safety certificate.
 func (o SuperOp) CertOnly() bool { return o >= SuperLLDivS && o < NumSuperOps }
 
-// Fuse populates each function's Super side table with the enabled
+// FuseCert populates each function's Super side table with the enabled
 // superinstructions, matching greedily (longest shape first) at every pc —
 // every pc gets its best match independently, so a sequence entered from
 // the middle (a jump target) or resumed after a quantum boundary still
-// finds whatever shorter match starts there. Returns the number of fused
-// sites. A nil table clears the side tables (fusion off). Without a
-// certificate only the infallible shapes match; use FuseCert to widen.
-func Fuse(p *Program, t *FusionTable) int {
-	total, _ := FuseCert(p, t, nil)
-	return total
-}
-
-// FuseCert is Fuse with a safety certificate admitting the proven-safe
-// div/mod and indexed-window shapes. It returns the total fused sites and
-// how many of them exist only because of the certificate (the widening's
-// reach, surfaced as the fusion.windows.widened counter); the latter is
-// also recorded on the program for cache round-trips.
+// finds whatever shorter match starts there. A nil table clears the side
+// tables (fusion off). Without a certificate only the infallible shapes
+// match; a safety certificate admits the proven-safe div/mod and
+// indexed-window shapes. It returns the total fused sites and how many of
+// them exist only because of the certificate (the widening's reach,
+// surfaced as the fusion.windows.widened counter); the latter is also
+// recorded on the program for cache round-trips.
 func FuseCert(p *Program, t *FusionTable, cert *SafetyCert) (total, widened int) {
 	en := t.enabled()
 	any := false

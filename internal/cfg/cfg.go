@@ -83,12 +83,6 @@ func (g *Graph) Entry() *Node { return g.Nodes[EntryNode] }
 // Exit returns the synthetic EXIT node.
 func (g *Graph) Exit() *Node { return g.Nodes[ExitNode] }
 
-// Idom returns the immediate dominator of n (-1 for the entry node).
-func (g *Graph) Idom(n NodeID) NodeID { return g.idom[n] }
-
-// Ipdom returns the immediate postdominator of n (-1 for the exit node).
-func (g *Graph) Ipdom(n NodeID) NodeID { return g.ipdom[n] }
-
 // Dominates reports whether a dominates b.
 func (g *Graph) Dominates(a, b NodeID) bool {
 	for b != -1 {

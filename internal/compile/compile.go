@@ -310,7 +310,7 @@ func compilePipeline(file *source.File, cfg eblock.Config, po pipelineOpts) (*Ar
 	}
 
 	// Superinstruction fusion: a cheap sequential peephole over the merged
-	// code that fills each function's Super side table (bytecode.Fuse). It
+	// code that fills each function's Super side table (bytecode.FuseCert). It
 	// runs last so it sees the final instruction layout; Code itself is
 	// never rewritten, so every PC-based artifact above stays valid.
 	if !po.noFusion {

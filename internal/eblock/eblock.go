@@ -351,9 +351,6 @@ func trimDeadLocals(f *pdg.FuncPDG, space *dataflow.Space, live *dataflow.Livene
 	})
 }
 
-// BlockFor returns the e-block for a function, or nil when inlined.
-func (plan *Plan) BlockFor(fn string) *EBlock { return plan.ByFunc[fn] }
-
 // String summarizes the plan for diagnostics and the program database dump.
 func (plan *Plan) String() string {
 	var b strings.Builder

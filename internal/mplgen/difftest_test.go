@@ -2,6 +2,7 @@ package mplgen
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"ppd/internal/compile"
@@ -19,7 +20,10 @@ import (
 // for a sweep of generated programs it checks that
 //
 //  1. bare, logged, and full-trace executions print identical output
-//     (instrumentation must never change behaviour);
+//     (instrumentation must never change behaviour), and an unlogged run
+//     of the instrumented program, fused and unfused, takes the logged
+//     run's steps and context switches to its final state (logging must
+//     never change the schedule);
 //  2. every completed interval in the log emulates to completion without
 //     divergence (the §5 machinery is total over reachable logs);
 //  3. folding the postlogs reproduces the VM's final global state (§5.7);
@@ -85,6 +89,27 @@ func checkProgram(t *testing.T, seed int64, src string, parallelMode bool) {
 		t.Errorf("seed %d: outputs differ:\nbare:  %q\nlog:   %q\ntrace: %q",
 			seed, bareOut, logOut, traceOut)
 		return
+	}
+	unfused, err := compile.Compile(source.NewFile("gen.mpl", src), compile.Opts{Config: eblock.DefaultConfig(), NoFusion: true})
+	if err != nil {
+		t.Errorf("seed %d: compile unfused: %v", seed, err)
+		return
+	}
+	for _, art := range []*compile.Artifacts{inst, unfused} {
+		out, vRun := runOut(art, vm.ModeRun)
+		if vRun == nil {
+			return
+		}
+		fused := art == inst
+		if out != logOut || vRun.Steps != vLog.Steps || vRun.CtxSwitches != vLog.CtxSwitches {
+			t.Errorf("seed %d fused=%t: unlogged run printed %q in %d steps / %d switches; logged %q in %d / %d",
+				seed, fused, out, vRun.Steps, vRun.CtxSwitches, logOut, vLog.Steps, vLog.CtxSwitches)
+			return
+		}
+		if got, want := vRun.Snapshot(), vLog.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d fused=%t: unlogged final globals %v, logged %v", seed, fused, got, want)
+			return
+		}
 	}
 
 	// 2. Every interval of every process emulates to completion.

@@ -32,7 +32,7 @@ const cacheMagic = 0x50504443
 // CodecVersion is bumped whenever the encoded layout changes. It is part
 // of both the file header and the content-hash cache key.
 //
-// v2: functions carry the superinstruction side table (bytecode.Fuse), so
+// v2: functions carry the superinstruction side table (bytecode.FuseCert), so
 // warm cache hits return fused bytecode; v1 entries decode-fail into clean
 // misses.
 //

@@ -1,0 +1,53 @@
+package vm_test
+
+import (
+	"testing"
+
+	"ppd/internal/compile"
+	"ppd/internal/eblock"
+	"ppd/internal/source"
+	"ppd/internal/vm"
+	"ppd/internal/workloads"
+)
+
+// TestRunAllocsCeiling gates the execution phase's allocations per run on
+// the BenchmarkDispatch workloads (fused, as compiled by default). Unlike
+// ns/op, allocs/op is deterministic, so the ceilings are exact: a change
+// that allocates more per run fails here instead of hiding in benchmark
+// noise. ModeRun's ceilings are ModeLog's table-handler state (the shared
+// bits and array dirty bits) over its uninstrumented floor.
+func TestRunAllocsCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	cases := []struct {
+		wl       *workloads.Workload
+		run, log float64
+	}{
+		{workloads.Matmul(16), 36, 58},
+		{workloads.ProdCons(600), 452, 1103},
+		{workloads.TokenRing(4, 100), 299, 1587},
+		{workloads.Divide(11), 97, 201},
+	}
+	for _, c := range cases {
+		art, err := compile.Compile(source.NewFile(c.wl.Name, c.wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
+		if err != nil {
+			t.Fatalf("%s: %v", c.wl.Name, err)
+		}
+		for _, m := range []struct {
+			mode    vm.Mode
+			ceiling float64
+		}{{vm.ModeRun, c.run}, {vm.ModeLog, c.log}} {
+			got := testing.AllocsPerRun(3, func() {
+				if err := vm.New(art.Prog, vm.Options{Mode: m.mode, Quantum: 1000}).Run(); err != nil {
+					t.Fatalf("%s %v: %v", c.wl.Name, m.mode, err)
+				}
+			})
+			if got > m.ceiling {
+				t.Errorf("%s %v: %v allocs/run, ceiling %v", c.wl.Name, m.mode, got, m.ceiling)
+			} else {
+				t.Logf("%s %v: %v allocs/run (ceiling %v)", c.wl.Name, m.mode, got, m.ceiling)
+			}
+		}
+	}
+}

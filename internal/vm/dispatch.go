@@ -10,27 +10,33 @@ import (
 
 // Table-driven dispatch — Go's closest analogue to direct threading.
 //
-// ModeRun and ModeLog slices execute through per-opcode func-value tables
-// built once (per process lifetime, under a sync.Once) instead of a switch:
-// the dispatcher fetches the opcode and calls straight through a function
-// pointer, and at every pc it first consults the function's superinstruction
-// side table (bytecode.Fuse) to execute a whole fused sequence in one call.
-// The generic stepT remains the cold-path oracle for calls, returns, spawns,
-// blocking synchronization, and printing, exactly as in the previous
-// switch-based loops.
+// ModeRun and ModeLog slices execute through one per-opcode func-value
+// table built once (per process lifetime, under a sync.Once) instead of a
+// switch: the dispatcher fetches the opcode and calls straight through a
+// function pointer, and at every pc it first consults the function's
+// superinstruction side table (bytecode.FuseCert) to execute a whole fused
+// sequence in one call. The generic stepT remains the cold-path oracle for
+// calls, returns, spawns, blocking synchronization, and printing.
 //
-// The contract is unchanged from those loops and is pinned by the golden
-// matrix (TestLogGoldenByteIdentical, TestLogGoldenFusedVsUnfused): same
-// step counts, same failure sites, byte-identical ModeLog output. Two rules
-// keep fused execution inside that contract:
+// Both modes share every handler, so a logged and an unlogged run of the
+// same instrumented code differ only in the logging work itself. ModeRun
+// pays for that with a guard, never with a record: its shared-variable
+// bits are all false, so the access-marking branches are never taken, and
+// the e-block marker handlers return at once when the VM is not logging.
+//
+// The contract is pinned by the golden matrix (TestLogGoldenByteIdentical,
+// TestLogGoldenFusedVsUnfused): same step counts, same failure sites,
+// byte-identical ModeLog output as the generic loop. Two rules keep fused
+// execution inside that contract:
 //
 //   - a superinstruction of width W executes only when the current slice
 //     has ≥ W quantum left AND the instruction budget admits W more steps;
 //     otherwise the same instructions run through single-op dispatch, so
 //     slice boundaries and budget-exhaustion points land on exactly the
 //     same instruction as with fusion off;
-//   - only infallible sequences are fused (bytecode.Fuse), so every
-//     failure site still reports its single-op PC.
+//   - only infallible or certificate-proven sequences are fused
+//     (bytecode.FuseCert), so every failure site still reports its
+//     single-op PC.
 //
 // Handlers communicate non-linear control flow through dispatch.sig:
 // sigReload after a cold op that may have changed the top frame, sigExit on
@@ -48,8 +54,7 @@ type opTable [256]opFn
 type superTable [bytecode.NumSuperOps]superFn
 
 // dispatch carries the interpreter's cached hot state across handler
-// calls. One instance lives in the VM (no per-slice allocation); the
-// fields mirror the locals of the former runSliceRun/runSliceLog loops.
+// calls. One instance lives in the VM (no per-slice allocation).
 type dispatch struct {
 	v     *VM
 	p     *Proc
@@ -60,6 +65,7 @@ type dispatch struct {
 	stack []int64
 	pc    int
 	sig   uint8
+	prev  int // previous opcode, for the Options.OpProfile pair counts
 }
 
 const (
@@ -70,10 +76,10 @@ const (
 
 var (
 	tablesOnce sync.Once
-	runOps     opTable
-	logOps     opTable
-	runSups    superTable
-	logSups    superTable
+	execOps    opTable    // ModeRun and ModeLog
+	execSups   superTable // ModeRun and ModeLog
+	profOps    opTable    // execOps counting into Options.OpProfile
+	profSups   superTable // execSups counting into Options.OpProfile
 )
 
 // reload re-caches the (possibly new) top frame after a cold op.
@@ -90,7 +96,7 @@ func (d *dispatch) reload() {
 // runSliceTab is the table-driven slice driver for ModeRun and ModeLog.
 func (v *VM) runSliceTab(p *Proc) {
 	d := &v.disp
-	d.v, d.p, d.sig = v, p, sigNone
+	d.v, d.p, d.sig, d.prev = v, p, sigNone, -1
 	d.reload()
 	ops, sups := v.ops, v.sups
 	quantum, maxSteps := v.Opts.Quantum, v.Opts.MaxSteps
@@ -139,153 +145,90 @@ func (v *VM) runSliceTab(p *Proc) {
 	d.f.PC, d.f.Stack = d.pc, d.stack
 }
 
-// runSliceTabProf is runSliceTab plus the per-opcode/per-pair profile for
-// Options.OpProfile. It is a separate copy so the unprofiled driver pays
-// nothing; fused dispatches count their constituent opcodes and pairs, so
-// the histogram does not depend on the fusion configuration.
-func (v *VM) runSliceTabProf(p *Proc) {
-	d := &v.disp
-	d.v, d.p, d.sig = v, p, sigNone
-	d.reload()
-	ops, sups := v.ops, v.sups
-	prof := v.prof
-	quantum, maxSteps := v.Opts.Quantum, v.Opts.MaxSteps
-	prev := -1
-
-	for q := 0; q < quantum; {
-		if d.super != nil && d.pc < len(d.super) {
-			if s := &d.super[d.pc]; s.Op != bytecode.SuperNone {
-				if w := int(s.W); q+w <= quantum && v.Steps+int64(w) <= maxSteps {
-					for i := d.pc; i < d.pc+w; i++ {
-						op := int(d.code[i].Op)
-						prof.Count(prev, op)
-						prev = op
-					}
-					prof.CountSuper(int(s.Op))
-					v.Steps += int64(w)
-					q += w
-					d.pc += w
-					sups[s.Op](d, s)
-					if d.sig == sigExit {
-						return
-					}
-					continue
-				}
-			}
-		}
-		v.Steps++
-		q++
-		if v.Steps > maxSteps {
-			d.f.PC, d.f.Stack = d.pc, d.stack
-			v.fail(p, ast.NoStmt, "instruction budget exhausted")
-			return
-		}
-		if d.pc >= len(d.code) {
-			d.f.PC, d.f.Stack = d.pc, d.stack
-			v.fail(p, ast.NoStmt, "pc out of range in %s", d.f.Fn.Name)
-			return
-		}
-		in := &d.code[d.pc]
-		d.pc++
-		prof.Count(prev, int(in.Op))
-		prev = int(in.Op)
-		ops[in.Op](d, in)
-		if d.sig != sigNone {
-			if d.sig == sigExit {
-				return
-			}
-			d.sig = sigNone
-			d.reload()
-		}
-	}
-	d.f.PC, d.f.Stack = d.pc, d.stack
-}
-
-// buildDispatchTables fills the run/log op and superinstruction tables.
-// The two op tables differ only where ModeLog marks shared-variable
-// accesses or emits log records; everything else is shared handler code.
+// buildDispatchTables fills the execution-phase op and superinstruction
+// tables, their profiling wrappers, and the emulation tables.
 func buildDispatchTables() {
-	var base opTable
-	for i := range base {
-		base[i] = dCold
+	for i := range execOps {
+		execOps[i] = dCold
 	}
-	base[bytecode.OpNop] = dNop
-	base[bytecode.OpConst] = dConst
-	base[bytecode.OpPop] = dPop
-	base[bytecode.OpLoadLocal] = dLoadLocal
-	base[bytecode.OpStoreLocal] = dStoreLocal
-	base[bytecode.OpLoadIndexedL] = dLoadIndexedL
-	base[bytecode.OpAdd] = dAdd
-	base[bytecode.OpSub] = dSub
-	base[bytecode.OpMul] = dMul
-	base[bytecode.OpDiv] = dDiv
-	base[bytecode.OpMod] = dMod
-	base[bytecode.OpEq] = dEq
-	base[bytecode.OpNe] = dNe
-	base[bytecode.OpLt] = dLt
-	base[bytecode.OpLe] = dLe
-	base[bytecode.OpGt] = dGt
-	base[bytecode.OpGe] = dGe
-	base[bytecode.OpNeg] = dNeg
-	base[bytecode.OpNot] = dNot
-	base[bytecode.OpJmp] = dJmp
-	base[bytecode.OpJmpFalse] = dJmpFalse
-	base[bytecode.OpJmpTrue] = dJmpTrue
-	base[bytecode.OpSemP] = dSemP
-	base[bytecode.OpSemV] = dSemV
+	execOps[bytecode.OpNop] = dNop
+	execOps[bytecode.OpConst] = dConst
+	execOps[bytecode.OpPop] = dPop
+	execOps[bytecode.OpLoadLocal] = dLoadLocal
+	execOps[bytecode.OpStoreLocal] = dStoreLocal
+	execOps[bytecode.OpLoadGlobal] = dLoadGlobal
+	execOps[bytecode.OpStoreGlobal] = dStoreGlobal
+	execOps[bytecode.OpLoadIndexedL] = dLoadIndexedL
+	execOps[bytecode.OpStoreIndexedL] = dStoreIndexedL
+	execOps[bytecode.OpLoadIndexedG] = dLoadIndexedG
+	execOps[bytecode.OpStoreIndexedG] = dStoreIndexedG
+	execOps[bytecode.OpAdd] = dAdd
+	execOps[bytecode.OpSub] = dSub
+	execOps[bytecode.OpMul] = dMul
+	execOps[bytecode.OpDiv] = dDiv
+	execOps[bytecode.OpMod] = dMod
+	execOps[bytecode.OpEq] = dEq
+	execOps[bytecode.OpNe] = dNe
+	execOps[bytecode.OpLt] = dLt
+	execOps[bytecode.OpLe] = dLe
+	execOps[bytecode.OpGt] = dGt
+	execOps[bytecode.OpGe] = dGe
+	execOps[bytecode.OpNeg] = dNeg
+	execOps[bytecode.OpNot] = dNot
+	execOps[bytecode.OpJmp] = dJmp
+	execOps[bytecode.OpJmpFalse] = dJmpFalse
+	execOps[bytecode.OpJmpTrue] = dJmpTrue
+	execOps[bytecode.OpSemP] = dSemP
+	execOps[bytecode.OpSemV] = dSemV
+	execOps[bytecode.OpPrelog] = dPrelog
+	execOps[bytecode.OpPostlog] = dPostlog
+	execOps[bytecode.OpShPrelog] = dShPrelog
 
-	runOps = base
-	runOps[bytecode.OpLoadGlobal] = dLoadGlobalRun
-	runOps[bytecode.OpStoreGlobal] = dStoreGlobalRun
-	runOps[bytecode.OpStoreIndexedL] = dStoreIndexedLRun
-	runOps[bytecode.OpLoadIndexedG] = dLoadIndexedGRun
-	runOps[bytecode.OpStoreIndexedG] = dStoreIndexedGRun
-	runOps[bytecode.OpPrelog] = dNop
-	runOps[bytecode.OpPostlog] = dNop
-	runOps[bytecode.OpShPrelog] = dNop
+	execSups[bytecode.SuperNone] = sNone
+	execSups[bytecode.SuperLLBinS] = sLLBinS
+	execSups[bytecode.SuperLCBinS] = sLCBinS
+	execSups[bytecode.SuperLLCmpJf] = sLLCmpJf
+	execSups[bytecode.SuperLCCmpJf] = sLCCmpJf
+	execSups[bytecode.SuperLGCmpJf] = sLGCmpJf
+	execSups[bytecode.SuperLLBin] = sLLBin
+	execSups[bytecode.SuperLCBin] = sLCBin
+	execSups[bytecode.SuperLGBin] = sLGBin
+	execSups[bytecode.SuperLBin] = sLBin
+	execSups[bytecode.SuperCBin] = sCBin
+	execSups[bytecode.SuperConstStoreL] = sConstStoreL
+	execSups[bytecode.SuperCmpJf] = sCmpJf
+	execSups[bytecode.SuperLLDivS] = sLLDivS
+	execSups[bytecode.SuperLLDiv] = sLLDiv
+	execSups[bytecode.SuperLGDiv] = sLGDiv
+	execSups[bytecode.SuperLDiv] = sLDiv
+	execSups[bytecode.SuperIdxLoadL] = sIdxLoadL
+	execSups[bytecode.SuperIdxLoadG] = sIdxLoadG
+	execSups[bytecode.SuperIdxStoreL] = sIdxStoreL
+	execSups[bytecode.SuperIdxStoreG] = sIdxStoreG
 
-	logOps = base
-	logOps[bytecode.OpLoadGlobal] = dLoadGlobalLog
-	logOps[bytecode.OpStoreGlobal] = dStoreGlobalLog
-	logOps[bytecode.OpStoreIndexedL] = dStoreIndexedLLog
-	logOps[bytecode.OpLoadIndexedG] = dLoadIndexedGLog
-	logOps[bytecode.OpStoreIndexedG] = dStoreIndexedGLog
-	logOps[bytecode.OpPrelog] = dPrelog
-	logOps[bytecode.OpPostlog] = dPostlog
-	logOps[bytecode.OpShPrelog] = dShPrelog
-
-	var sbase superTable
-	sbase[bytecode.SuperNone] = sNone
-	sbase[bytecode.SuperLLBinS] = sLLBinS
-	sbase[bytecode.SuperLCBinS] = sLCBinS
-	sbase[bytecode.SuperLLCmpJf] = sLLCmpJf
-	sbase[bytecode.SuperLCCmpJf] = sLCCmpJf
-	sbase[bytecode.SuperLLBin] = sLLBin
-	sbase[bytecode.SuperLCBin] = sLCBin
-	sbase[bytecode.SuperLBin] = sLBin
-	sbase[bytecode.SuperCBin] = sCBin
-	sbase[bytecode.SuperConstStoreL] = sConstStoreL
-	sbase[bytecode.SuperCmpJf] = sCmpJf
-	sbase[bytecode.SuperLLDivS] = sLLDivS
-	sbase[bytecode.SuperLLDiv] = sLLDiv
-	sbase[bytecode.SuperLDiv] = sLDiv
-	sbase[bytecode.SuperIdxLoadL] = sIdxLoadL
-
-	runSups = sbase
-	runSups[bytecode.SuperLGBin] = sLGBinRun
-	runSups[bytecode.SuperLGCmpJf] = sLGCmpJfRun
-	runSups[bytecode.SuperLGDiv] = sLGDivRun
-	runSups[bytecode.SuperIdxLoadG] = sIdxLoadGRun
-	runSups[bytecode.SuperIdxStoreL] = sIdxStoreLRun
-	runSups[bytecode.SuperIdxStoreG] = sIdxStoreGRun
-
-	logSups = sbase
-	logSups[bytecode.SuperLGBin] = sLGBinLog
-	logSups[bytecode.SuperLGCmpJf] = sLGCmpJfLog
-	logSups[bytecode.SuperLGDiv] = sLGDivLog
-	logSups[bytecode.SuperIdxLoadG] = sIdxLoadGLog
-	logSups[bytecode.SuperIdxStoreL] = sIdxStoreLLog
-	logSups[bytecode.SuperIdxStoreG] = sIdxStoreGLog
+	// The profiling wrappers count before the real handler runs. A fused
+	// dispatch counts its constituent opcodes and pairs (the driver has
+	// already advanced the pc past them), so the histogram does not depend
+	// on the fusion configuration.
+	for i, h := range execOps {
+		profOps[i] = func(d *dispatch, in *bytecode.Instr) {
+			d.v.prof.Count(d.prev, int(in.Op))
+			d.prev = int(in.Op)
+			h(d, in)
+		}
+	}
+	for i, h := range execSups {
+		profSups[i] = func(d *dispatch, s *bytecode.SuperInstr) {
+			prof := d.v.prof
+			for pc := d.pc - int(s.W); pc < d.pc; pc++ {
+				op := int(d.code[pc].Op)
+				prof.Count(d.prev, op)
+				d.prev = op
+			}
+			prof.CountSuper(int(s.Op))
+			h(d, s)
+		}
+	}
 
 	buildEmuDispatchTables()
 }
@@ -325,24 +268,14 @@ func dStoreLocal(d *dispatch, in *bytecode.Instr) {
 	d.stack = d.stack[:n]
 }
 
-func dLoadGlobalRun(d *dispatch, in *bytecode.Instr) {
-	d.stack = append(d.stack, d.v.Globals[in.A].Int)
-}
-
-func dLoadGlobalLog(d *dispatch, in *bytecode.Instr) {
+func dLoadGlobal(d *dispatch, in *bytecode.Instr) {
 	d.stack = append(d.stack, d.v.Globals[in.A].Int)
 	if d.v.shared[in.A] {
 		d.p.reads.Add(in.A)
 	}
 }
 
-func dStoreGlobalRun(d *dispatch, in *bytecode.Instr) {
-	n := len(d.stack) - 1
-	d.v.Globals[in.A] = Value{Int: d.stack[n]}
-	d.stack = d.stack[:n]
-}
-
-func dStoreGlobalLog(d *dispatch, in *bytecode.Instr) {
+func dStoreGlobal(d *dispatch, in *bytecode.Instr) {
 	n := len(d.stack) - 1
 	d.v.Globals[in.A] = Value{Int: d.stack[n]}
 	d.stack = d.stack[:n]
@@ -371,19 +304,7 @@ func dLoadIndexedL(d *dispatch, in *bytecode.Instr) {
 	d.stack = append(d.stack, arr[i])
 }
 
-func dStoreIndexedLRun(d *dispatch, in *bytecode.Instr) {
-	n := len(d.stack)
-	val, i := d.stack[n-1], d.stack[n-2]
-	d.stack = d.stack[:n-2]
-	arr := d.slots[in.A].Arr
-	if i < 0 || i >= int64(len(arr)) {
-		d.indexFail(in, i, len(arr))
-		return
-	}
-	arr[i] = val
-}
-
-func dStoreIndexedLLog(d *dispatch, in *bytecode.Instr) {
+func dStoreIndexedL(d *dispatch, in *bytecode.Instr) {
 	n := len(d.stack)
 	val, i := d.stack[n-1], d.stack[n-2]
 	d.stack = d.stack[:n-2]
@@ -398,19 +319,7 @@ func dStoreIndexedLLog(d *dispatch, in *bytecode.Instr) {
 	}
 }
 
-func dLoadIndexedGRun(d *dispatch, in *bytecode.Instr) {
-	n := len(d.stack) - 1
-	i := d.stack[n]
-	d.stack = d.stack[:n]
-	arr := d.v.Globals[in.A].Arr
-	if i < 0 || i >= int64(len(arr)) {
-		d.indexFail(in, i, len(arr))
-		return
-	}
-	d.stack = append(d.stack, arr[i])
-}
-
-func dLoadIndexedGLog(d *dispatch, in *bytecode.Instr) {
+func dLoadIndexedG(d *dispatch, in *bytecode.Instr) {
 	n := len(d.stack) - 1
 	i := d.stack[n]
 	d.stack = d.stack[:n]
@@ -425,19 +334,7 @@ func dLoadIndexedGLog(d *dispatch, in *bytecode.Instr) {
 	}
 }
 
-func dStoreIndexedGRun(d *dispatch, in *bytecode.Instr) {
-	n := len(d.stack)
-	val, i := d.stack[n-1], d.stack[n-2]
-	d.stack = d.stack[:n-2]
-	arr := d.v.Globals[in.A].Arr
-	if i < 0 || i >= int64(len(arr)) {
-		d.indexFail(in, i, len(arr))
-		return
-	}
-	arr[i] = val
-}
-
-func dStoreIndexedGLog(d *dispatch, in *bytecode.Instr) {
+func dStoreIndexedG(d *dispatch, in *bytecode.Instr) {
 	n := len(d.stack)
 	val, i := d.stack[n-1], d.stack[n-2]
 	d.stack = d.stack[:n-2]
@@ -563,17 +460,30 @@ func dJmpTrue(d *dispatch, in *bytecode.Instr) {
 	}
 }
 
+// The e-block markers are inert unless the VM is logging (ModeRun runs
+// the same instrumented code with no log): one check per marker, never
+// per instruction.
+
 func dPrelog(d *dispatch, in *bytecode.Instr) {
+	if d.v.Log == nil {
+		return
+	}
 	d.v.emitPrelog(d.p, in.A, in.Stmt)
 }
 
 func dPostlog(d *dispatch, in *bytecode.Instr) {
+	if d.v.Log == nil {
+		return
+	}
 	// the emitter reads the return value off the operand stack
 	d.f.Stack = d.stack
 	d.v.emitPostlog(d.p, in.A, in.B == 1, in.Stmt)
 }
 
 func dShPrelog(d *dispatch, in *bytecode.Instr) {
+	if d.v.Log == nil {
+		return
+	}
 	d.v.emitShPrelog(d.p, d.f.Fn, in.A)
 }
 

@@ -8,16 +8,16 @@ import (
 
 // Table-driven dispatch for ModeEmulate — the debugging phase's hot path.
 //
-// PR 6 gave ModeRun and ModeLog per-opcode function tables; emulation kept
-// the generic stepT loop because its handlers must interleave trace events
-// (EvStmt boundaries, per-access EvRead/EvWrite, EvPred) with execution.
-// This file closes that gap: emuOps mirrors stepT's ModeEmulate semantics
-// exactly — boundary before the op, events in single-op order, identical
-// failure sites and messages — and emuSups executes the infallible fused
-// windows under emulation by emitting each constituent's boundary and
-// events in the order single-op dispatch would have.
+// Emulation cannot share the execution-phase tables (dispatch.go): its
+// handlers must interleave trace events (EvStmt boundaries, per-access
+// EvRead/EvWrite, EvPred) with execution. emuOps mirrors stepT's
+// ModeEmulate semantics exactly — boundary before the op, events in
+// single-op order, identical failure sites and messages — and emuSups
+// executes the infallible fused windows under emulation by emitting each
+// constituent's boundary and events in the order single-op dispatch would
+// have.
 //
-// The contract is the same cold-path-oracle pattern as PR 6, pinned by
+// The contract is the execution tables' cold-path-oracle pattern, pinned by
 // TestEmuDispatchByteIdentical and FuzzEmuEquivalence (internal/emulation):
 // for every interval, the fast path's trace bytes, final globals, failure,
 // and records consumed equal the generic loop's (Options.EmuGeneric).

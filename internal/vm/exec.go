@@ -160,25 +160,21 @@ func spaceLocal(slot int) int { return slot }
 func (v *VM) spaceGlobal(fn *bytecode.Func, gid int) int { return fn.NumSlots + gid }
 
 func (v *VM) markRead(p *Proc, gid int) {
-	if v.Opts.Mode == ModeLog && v.Prog.Globals[gid].Shared {
+	if v.shared[gid] {
 		p.reads.Add(gid)
 	}
 }
 
 func (v *VM) markWrite(p *Proc, gid int) {
-	if v.Opts.Mode == ModeLog && v.Prog.Globals[gid].Shared {
+	if v.shared[gid] {
 		p.writes.Add(gid)
 	}
 }
 
-// step executes one instruction of p, re-deriving the tracing predicate.
-// It is the entry point for callers outside the slice runners (tests).
-func (v *VM) step(p *Proc) { v.stepT(p, v.tracing(p)) }
-
 // stepT executes one instruction of p with the tracing predicate already
 // decided by the caller (the slice runners hoist it out of the dispatch
-// path; the specialized ModeRun/ModeLog loops bypass stepT entirely for
-// hot opcodes and fall back here for the rest).
+// path; the table driver bypasses stepT entirely for hot opcodes and
+// falls back here for the rest).
 func (v *VM) stepT(p *Proc, tracing bool) {
 	f := p.top()
 	if f.PC >= len(f.Fn.Code) {

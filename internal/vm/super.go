@@ -3,7 +3,7 @@ package vm
 import "ppd/internal/bytecode"
 
 // Superinstruction handlers. Each executes a whole fused sequence
-// (bytecode.Fuse) in one dispatch; the driver has already charged the
+// (bytecode.FuseCert) in one dispatch; the driver has already charged the
 // sequence's width against the step counter and the quantum and advanced
 // the pc past it, so a handler only touches data (and, for the
 // compare-and-branch shapes, rewrites the pc on a taken branch). The
@@ -88,11 +88,7 @@ func sLCBin(d *dispatch, s *bytecode.SuperInstr) {
 	d.stack = append(d.stack, superApply(s.Bin, d.slots[s.A].Int, s.K))
 }
 
-func sLGBinRun(d *dispatch, s *bytecode.SuperInstr) {
-	d.stack = append(d.stack, superApply(s.Bin, d.slots[s.A].Int, d.v.Globals[s.B].Int))
-}
-
-func sLGBinLog(d *dispatch, s *bytecode.SuperInstr) {
+func sLGBin(d *dispatch, s *bytecode.SuperInstr) {
 	d.stack = append(d.stack, superApply(s.Bin, d.slots[s.A].Int, d.v.Globals[s.B].Int))
 	if d.v.shared[s.B] {
 		d.p.reads.Add(s.B)
@@ -125,13 +121,7 @@ func sLCCmpJf(d *dispatch, s *bytecode.SuperInstr) {
 	}
 }
 
-func sLGCmpJfRun(d *dispatch, s *bytecode.SuperInstr) {
-	if !superCmp(s.Bin, d.slots[s.A].Int, d.v.Globals[s.B].Int) {
-		d.pc = s.T
-	}
-}
-
-func sLGCmpJfLog(d *dispatch, s *bytecode.SuperInstr) {
+func sLGCmpJf(d *dispatch, s *bytecode.SuperInstr) {
 	if !superCmp(s.Bin, d.slots[s.A].Int, d.v.Globals[s.B].Int) {
 		d.pc = s.T
 	}
@@ -195,21 +185,17 @@ func sLLDiv(d *dispatch, s *bytecode.SuperInstr) {
 	d.stack = append(d.stack, superApply(s.Bin, d.slots[s.A].Int, y))
 }
 
-func sLGDivRun(d *dispatch, s *bytecode.SuperInstr) {
+func sLGDiv(d *dispatch, s *bytecode.SuperInstr) {
+	// The global load completes before the div can fail: mark it first.
+	if d.v.shared[s.B] {
+		d.p.reads.Add(s.B)
+	}
 	y := d.v.Globals[s.B].Int
 	if y == 0 {
 		d.superDivFail(s.Bin, d.pc-1)
 		return
 	}
 	d.stack = append(d.stack, superApply(s.Bin, d.slots[s.A].Int, y))
-}
-
-func sLGDivLog(d *dispatch, s *bytecode.SuperInstr) {
-	// The global load completes before the div can fail: mark it first.
-	if d.v.shared[s.B] {
-		d.p.reads.Add(s.B)
-	}
-	sLGDivRun(d, s)
 }
 
 func sLDiv(d *dispatch, s *bytecode.SuperInstr) {
@@ -233,17 +219,7 @@ func sIdxLoadL(d *dispatch, s *bytecode.SuperInstr) {
 	d.stack = append(d.stack, arr[i])
 }
 
-func sIdxLoadGRun(d *dispatch, s *bytecode.SuperInstr) {
-	i := d.slots[s.B].Int
-	arr := d.v.Globals[s.A].Arr
-	if i < 0 || i >= int64(len(arr)) {
-		d.superIndexFail(i, len(arr))
-		return
-	}
-	d.stack = append(d.stack, arr[i])
-}
-
-func sIdxLoadGLog(d *dispatch, s *bytecode.SuperInstr) {
+func sIdxLoadG(d *dispatch, s *bytecode.SuperInstr) {
 	i := d.slots[s.B].Int
 	arr := d.v.Globals[s.A].Arr
 	if i < 0 || i >= int64(len(arr)) {
@@ -256,17 +232,7 @@ func sIdxLoadGLog(d *dispatch, s *bytecode.SuperInstr) {
 	}
 }
 
-func sIdxStoreLRun(d *dispatch, s *bytecode.SuperInstr) {
-	i := d.slots[s.B].Int
-	arr := d.slots[s.A].Arr
-	if i < 0 || i >= int64(len(arr)) {
-		d.superIndexFail(i, len(arr))
-		return
-	}
-	arr[i] = d.slots[s.C].Int
-}
-
-func sIdxStoreLLog(d *dispatch, s *bytecode.SuperInstr) {
+func sIdxStoreL(d *dispatch, s *bytecode.SuperInstr) {
 	i := d.slots[s.B].Int
 	arr := d.slots[s.A].Arr
 	if i < 0 || i >= int64(len(arr)) {
@@ -279,17 +245,7 @@ func sIdxStoreLLog(d *dispatch, s *bytecode.SuperInstr) {
 	}
 }
 
-func sIdxStoreGRun(d *dispatch, s *bytecode.SuperInstr) {
-	i := d.slots[s.B].Int
-	arr := d.v.Globals[s.A].Arr
-	if i < 0 || i >= int64(len(arr)) {
-		d.superIndexFail(i, len(arr))
-		return
-	}
-	arr[i] = d.slots[s.C].Int
-}
-
-func sIdxStoreGLog(d *dispatch, s *bytecode.SuperInstr) {
+func sIdxStoreG(d *dispatch, s *bytecode.SuperInstr) {
 	i := d.slots[s.B].Int
 	arr := d.v.Globals[s.A].Arr
 	if i < 0 || i >= int64(len(arr)) {

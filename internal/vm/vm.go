@@ -90,10 +90,11 @@ type Options struct {
 
 	// OpProfile, when non-nil, collects the per-opcode / per-pair /
 	// per-superinstruction dispatch histogram that feeds the profile-guided
-	// fusion table (`ppd stats -ops`). Profiling runs through a separate
-	// copy of the dispatch driver, so a nil OpProfile costs nothing. Only
-	// the table-driven paths count (ModeRun/ModeLog without a breakpoint);
-	// the profile must not be shared between concurrently running VMs.
+	// fusion table (`ppd stats -ops`). Profiling swaps in counting wrappers
+	// around the dispatch handlers at New, so a nil OpProfile leaves the
+	// per-instruction path untouched. Only the table-driven paths count
+	// (ModeRun/ModeLog without a breakpoint); the profile must not be
+	// shared between concurrently running VMs.
 	OpProfile *obs.OpStats
 
 	// Ctx, when non-nil, makes the run cancellable: the scheduler checks
@@ -287,22 +288,26 @@ type VM struct {
 	// decided per scheduling slice, not per step.
 	sliceKind sliceKind
 
-	// ops/sups are the mode's dispatch tables (dispatch.go), resolved once
-	// at New; disp is the reusable dispatcher state (no per-slice
-	// allocation); prof mirrors Opts.OpProfile for the profiled driver.
+	// ops/sups are the dispatch tables (dispatch.go), resolved once at
+	// New: the plain pair, or its profiling wrappers when Opts.OpProfile
+	// is set. disp is the reusable dispatcher state (no per-slice
+	// allocation); prof mirrors Opts.OpProfile for the wrappers.
 	ops  *opTable
 	sups *superTable
 	disp dispatch
 	prof *obs.OpStats
 
-	// shared mirrors Prog.Globals[i].Shared as a dense bool slice so the
-	// ModeLog hot loop's read/write marking is one index, not a struct
-	// field chase (ModeLog only).
+	// shared[gid] says whether an access to global gid joins the current
+	// internal edge's read/write sets: Prog.Globals[gid].Shared under
+	// ModeLog, false in every other mode. It is the one predicate both the
+	// table handlers and stepT consult, as one index per access.
 	shared []bool
 
-	// gSnap/gDirty implement copy-on-write global array snapshots
-	// (ModeLog only): a prelog reuses gSnap[gid] until an indexed store
-	// sets gDirty[gid], so unwritten arrays are never re-cloned.
+	// gSnap/gDirty implement copy-on-write global array snapshots: a
+	// prelog reuses gSnap[gid] until an indexed store sets gDirty[gid],
+	// so unwritten arrays are never re-cloned. gSnap exists under ModeLog
+	// only; gDirty wherever the table handlers run, since they set it
+	// unconditionally.
 	gSnap  [][]int64
 	gDirty []bool
 
@@ -340,6 +345,7 @@ func New(prog *bytecode.Program, opts Options) *VM {
 		numGlobals: len(prog.Globals),
 	}
 	v.Globals = make([]Value, len(prog.Globals))
+	v.shared = make([]bool, len(prog.Globals))
 	// ModeEmulate runs a single process with no scheduler and no real
 	// synchronization (sync ops replay from the log before touching
 	// sems/chans), so those structures are never allocated — the pooled
@@ -376,26 +382,27 @@ func New(prog *bytecode.Program, opts Options) *VM {
 		if opts.Tap != nil {
 			v.Log.SetTap(opts.Tap)
 		}
-		v.shared = make([]bool, len(prog.Globals))
 		for i, g := range prog.Globals {
 			v.shared[i] = g.Shared
 		}
 		v.gSnap = make([][]int64, len(prog.Globals))
+	}
+	if opts.Mode == ModeRun || opts.Mode == ModeLog {
+		// ModeRun runs ModeLog's table handlers, which set gDirty
+		// unconditionally; its shared bits stay all false and it has no log.
 		v.gDirty = make([]bool, len(prog.Globals))
 	}
 	if opts.Mode == ModeFullTrace {
 		v.Trace = &trace.Program{}
 	}
 	v.sliceKind = pickSliceKind(v.Opts)
-	switch v.sliceKind {
-	case sliceRun:
+	if v.sliceKind == sliceTable {
 		tablesOnce.Do(buildDispatchTables)
-		v.ops, v.sups = &runOps, &runSups
-		v.prof = opts.OpProfile
-	case sliceLog:
-		tablesOnce.Do(buildDispatchTables)
-		v.ops, v.sups = &logOps, &logSups
-		v.prof = opts.OpProfile
+		v.ops, v.sups = &execOps, &execSups
+		if opts.OpProfile != nil {
+			v.ops, v.sups = &profOps, &profSups
+			v.prof = opts.OpProfile
+		}
 	}
 	return v
 }
@@ -413,8 +420,9 @@ func (v *VM) newProc(fn *bytecode.Func, args []int64, fromGsn uint64) *Proc {
 		Status: StatusReady,
 	}
 	if v.Opts.Mode != ModeEmulate {
-		// The internal-edge access sets only exist for markRead/markWrite
-		// and fillEdgeSets, all ModeLog-gated.
+		// The internal-edge access sets are filled only through a true
+		// shared bit and drained only by ModeLog's records; emulation,
+		// whose shared bits are all false, never touches them.
 		p.reads = bitset.New(v.numGlobals)
 		p.writes = bitset.New(v.numGlobals)
 	}
@@ -629,16 +637,9 @@ func (v *VM) loop() error {
 		// One scheduling slice: the interpreter specialization was decided
 		// at New (loops.go), so the per-instruction mode/trace/break
 		// predicates are not re-evaluated inside the dispatch path.
-		switch v.sliceKind {
-		case sliceRun, sliceLog:
-			if v.prof != nil {
-				v.runSliceTabProf(p)
-			} else {
-				v.runSliceTab(p)
-			}
-		case sliceTrace:
-			v.runSliceTrace(p)
-		default:
+		if v.sliceKind == sliceTable {
+			v.runSliceTab(p)
+		} else {
 			v.runSliceGeneric(p)
 		}
 		if v.Failure != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ppd/internal/ast"
+	"ppd/internal/bytecode"
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
 	"ppd/internal/logging"
@@ -160,27 +161,156 @@ func main() {
 	}
 }
 
+// failureDrivers are the slice drivers a failure must look identical
+// under: the table driver in ModeRun and ModeLog (plain and profiled), and
+// the generic loop under ModeFullTrace and under a breakpoint that is
+// never hit.
+var failureDrivers = []struct {
+	name    string
+	opts    Options
+	profile bool // attach the dispatch profiler
+}{
+	{"run", Options{Mode: ModeRun}, false},
+	{"run-profiled", Options{Mode: ModeRun}, true},
+	{"log", Options{Mode: ModeLog}, false},
+	{"fulltrace", Options{Mode: ModeFullTrace}, false},
+	{"run-break", Options{Mode: ModeRun, BreakAt: 1 << 30}, false},
+	{"log-break", Options{Mode: ModeLog, BreakAt: 1 << 30}, false},
+}
+
+// failureParity runs src under every failure driver, after forge (if any)
+// has edited the compiled program, and asserts that all of them report the
+// same failure after the same number of steps, and that the table-driven
+// and generic ModeLog runs write byte-identical logs. It returns the
+// failure and the profiled run's dispatch profile.
+func failureParity(t *testing.T, src string, forge func(*bytecode.Program)) (*RuntimeError, *obs.OpStats) {
+	t.Helper()
+	art, err := compile.Compile(source.NewFile("test.mpl", src), compile.Opts{})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if forge != nil {
+		forge(art.Prog)
+	}
+	var (
+		want      RuntimeError
+		wantSteps int64
+		logs      = map[string][]byte{}
+		prof      = obs.NewOpStats(int(bytecode.NumOps), int(bytecode.NumSuperOps))
+	)
+	for i, d := range failureDrivers {
+		opts := d.opts
+		if d.profile {
+			opts.OpProfile = prof
+		}
+		v := New(art.Prog, opts)
+		if v.Run() == nil || v.Failure == nil {
+			t.Fatalf("%s: expected a runtime failure", d.name)
+		}
+		if i == 0 {
+			want, wantSteps = *v.Failure, v.Steps
+		} else if *v.Failure != want || v.Steps != wantSteps {
+			t.Errorf("%s: failure %+v after %d steps, want %+v after %d (run)", d.name, *v.Failure, v.Steps, want, wantSteps)
+		}
+		if v.Log != nil {
+			var buf bytes.Buffer
+			if err := v.Log.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			logs[d.name] = buf.Bytes()
+		}
+	}
+	if !bytes.Equal(logs["log"], logs["log-break"]) {
+		t.Errorf("table-driven ModeLog log differs from the generic loop's")
+	}
+	return &want, prof
+}
+
+// forgeWindow installs a superinstruction over the first window of main
+// whose opcodes are shape, as a wrong certificate (say, from a corrupt
+// cache entry) would, so the fused handler meets the failure the abstract
+// interpreter would have ruled out.
+func forgeWindow(t *testing.T, shape []bytecode.Op, sup func(win []bytecode.Instr) bytecode.SuperInstr) func(*bytecode.Program) {
+	return func(prog *bytecode.Program) {
+		fn := prog.Funcs[prog.MainIdx]
+	scan:
+		for pc := 0; pc+len(shape) <= len(fn.Code); pc++ {
+			for i, op := range shape {
+				if fn.Code[pc+i].Op != op {
+					continue scan
+				}
+			}
+			if fn.Super == nil {
+				fn.Super = make([]bytecode.SuperInstr, len(fn.Code))
+			}
+			fn.Super[pc] = sup(fn.Code[pc : pc+len(shape)])
+			return
+		}
+		t.Fatalf("no %v window in main", shape)
+	}
+}
+
 func TestDivideByZeroFailure(t *testing.T) {
-	v, err := runErr(t, `
+	f, _ := failureParity(t, `
 func main() {
 	var x = 0;
 	print(1 / x);
-}`, Options{})
-	if !strings.Contains(err.Error(), "division by zero") {
-		t.Errorf("err = %v", err)
-	}
-	if v.Failure == nil || v.Failure.PID != 0 {
-		t.Errorf("failure = %+v", v.Failure)
+}`, nil)
+	if f.Msg != "division by zero" || f.PID != 0 {
+		t.Errorf("failure = %+v", f)
 	}
 }
 
 func TestArrayBoundsFailure(t *testing.T) {
-	_, err := runErr(t, `
+	f, _ := failureParity(t, `
 shared a[3];
-func main() { a[5] = 1; }`, Options{})
-	if !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("err = %v", err)
+func main() { a[5] = 1; }`, nil)
+	if !strings.Contains(f.Msg, "out of range") {
+		t.Errorf("failure = %+v", f)
 	}
+}
+
+// TestFusedFailureSites drives the certificate-gated superinstructions
+// that touch a global into their failure paths: each must report the
+// single-op failure site and step count under every driver.
+func TestFusedFailureSites(t *testing.T) {
+	t.Run("lgdiv", func(t *testing.T) {
+		forge := forgeWindow(t, []bytecode.Op{bytecode.OpLoadLocal, bytecode.OpLoadGlobal, bytecode.OpDiv},
+			func(win []bytecode.Instr) bytecode.SuperInstr {
+				return bytecode.SuperInstr{Op: bytecode.SuperLGDiv, W: 3, Bin: bytecode.OpDiv, A: win[0].A, B: win[1].A}
+			})
+		f, prof := failureParity(t, `
+shared g;
+func main() {
+	var x = 7;
+	print(x / g);
+}`, forge)
+		if f.Msg != "division by zero" {
+			t.Errorf("failure = %+v", f)
+		}
+		if prof.Super[bytecode.SuperLGDiv] == 0 {
+			t.Errorf("the forged lgdiv window was never dispatched")
+		}
+	})
+	t.Run("idxstoreg", func(t *testing.T) {
+		forge := forgeWindow(t, []bytecode.Op{bytecode.OpLoadLocal, bytecode.OpLoadLocal, bytecode.OpStoreIndexedG},
+			func(win []bytecode.Instr) bytecode.SuperInstr {
+				return bytecode.SuperInstr{Op: bytecode.SuperIdxStoreG, W: 3, A: win[2].A, B: win[0].A, C: win[1].A}
+			})
+		f, prof := failureParity(t, `
+shared a[3];
+func main() {
+	var i = 5;
+	var v = 1;
+	a[i] = v;
+}`, forge)
+		if !strings.Contains(f.Msg, "out of range") {
+			t.Errorf("failure = %+v", f)
+		}
+		if prof.Super[bytecode.SuperIdxStoreG] == 0 {
+			t.Errorf("the forged idxstoreg window was never dispatched")
+		}
+	})
 }
 
 func TestSpawnAndSemaphores(t *testing.T) {
