@@ -1,11 +1,12 @@
 # Developer/CI entry points. `make check` is the gate: vet, formatting,
 # build, and the full test suite under Go's race detector — the debugging
-# phase now runs concurrent (sched worker pool, controller prefetch), so
-# our own race detector's implementation is itself race-checked.
+# phase runs concurrent (sched worker pool, concurrent controller queries
+# on one replay-context pool), so our own race detector's implementation
+# is itself race-checked.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check cover ci bench bench-smoke vet-mpl serve-smoke stream-smoke examples-smoke perfbench-smoke
+.PHONY: all build test race vet fmt check cover ci bench bench-smoke vet-mpl serve-smoke stream-smoke examples-smoke perfbench-smoke fuzz-smoke
 
 all: build
 
@@ -55,7 +56,7 @@ vet-mpl: build
 	fi
 	@echo "vet-mpl: OK"
 
-ci: check cover bench-smoke vet-mpl serve-smoke stream-smoke examples-smoke perfbench-smoke
+ci: check cover bench-smoke vet-mpl serve-smoke stream-smoke examples-smoke perfbench-smoke fuzz-smoke
 	@echo "ci: OK"
 
 # Online-pipeline gate: a live monitored run end-to-end (ppd watch) and
@@ -98,6 +99,16 @@ perfbench-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Short fuzz runs of the two table-dispatch oracles: generated programs must
+# emulate identically through the emulation tables and the generic loop
+# (traced and untraced), and run identically fused and unfused. `go test`
+# alone runs only their checked-in seeds.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEmuEquivalence$$' -fuzztime $(FUZZTIME) ./internal/emulation/
+	$(GO) test -run '^$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/vm/
+	@echo "fuzz-smoke: OK"
 
 # One iteration of every benchmark: catches benchmarks that fail or rot
 # without paying for stable timings. Every experiment in DESIGN.md's index

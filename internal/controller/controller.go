@@ -36,8 +36,8 @@ import (
 const DefaultCacheBound = 128
 
 // Controller is the debugging-phase coordinator. All query methods are
-// safe for concurrent use; PrefetchNeighbors exploits that by warming the
-// interval cache on the shared worker pool while the user inspects a node.
+// safe for concurrent use: concurrent queries share the interval cache and
+// the replay-context pool.
 type Controller struct {
 	Art *compile.Artifacts
 	Log *logging.ProgramLog
@@ -52,8 +52,8 @@ type Controller struct {
 	emus   []*emulation.Emulator
 	pool   *sched.Pool
 	// epool is the replay-context pool shared by every per-process
-	// emulator (and the prefetcher behind them), bounded by the worker
-	// count so concurrent sessions cannot hoard a VM per in-flight query.
+	// emulator, bounded by the worker count so concurrent sessions cannot
+	// hoard a VM per in-flight query.
 	epool *emulation.Pool
 
 	// Observability (nil / no-op when disabled). The counters are resolved
@@ -154,8 +154,8 @@ func New(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *Controller
 		return emulation.New(art.Prog, pl.Books[pid])
 	})
 	// One replay-context pool for every emulator, sized to the worker
-	// count: the prefetcher's concurrent emulations each get a context,
-	// but an idle controller retains at most this many pooled VMs.
+	// count: concurrent queries' emulations each get a context, but an
+	// idle controller retains at most this many pooled VMs.
 	c.epool = emulation.NewPool(art.Prog, max(2, c.pool.Workers()), cfg.Obs)
 	for _, em := range c.emus {
 		em.SetPool(c.epool)
@@ -282,8 +282,8 @@ func (c *Controller) Graph(pid, prelogIdx int) (*dynpdg.Graph, error) {
 	return ent.graph, nil
 }
 
-// interval is the memoized emulate-and-build step behind Graph, Result,
-// and the prefetcher. Emulation runs outside the lock so cache misses on
+// interval is the memoized emulate-and-build step behind Graph and
+// Result. Emulation runs outside the lock so cache misses on
 // different intervals overlap; if two goroutines race on the same miss,
 // the first insertion wins and both observe the same entry (pointer
 // stability for cached graphs).
@@ -470,106 +470,6 @@ func (c *Controller) ResolveInitial(pid, prelogIdx, gid int) *CrossRef {
 		ref.PrelogIdx = c.IntervalContaining(racy[0].PID, racy[0].EndRec)
 	}
 	return ref
-}
-
-// PrefetchNeighbors warms the interval cache around (pid, prelogIdx): the
-// preceding and following sibling intervals in the process's book, the
-// innermost enclosing interval, and the cross-process writer intervals
-// supplying shared values the focus interval reads — the intervals a user
-// inspecting a node is most likely to query next. The emulations fan out
-// across the shared worker pool and the call blocks until the cache is
-// warm; queries racing with the warm-up are safe and see each entry at
-// most once. Errors are swallowed — prefetch is purely advisory.
-func (c *Controller) PrefetchNeighbors(pid, prelogIdx int) {
-	targets := c.neighborIntervals(pid, prelogIdx)
-	c.pool.ForEach(len(targets), func(i int) {
-		_, _ = c.interval(targets[i][0], targets[i][1])
-	})
-}
-
-// maxPrefetch bounds one prefetch fan-out; beyond it the speculative work
-// would evict more cache than it warms.
-const maxPrefetch = 16
-
-// neighborIntervals computes the prefetch target list for an interval, in
-// deterministic priority order, capped at maxPrefetch and excluding the
-// focus interval itself.
-func (c *Controller) neighborIntervals(pid, prelogIdx int) [][2]int {
-	if pid < 0 || pid >= len(c.Log.Books) {
-		return nil
-	}
-	var out [][2]int
-	seen := map[[2]int]bool{{pid, prelogIdx}: true}
-	add := func(p, idx int) {
-		k := [2]int{p, idx}
-		if idx >= 0 && p >= 0 && !seen[k] && len(out) < maxPrefetch {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-
-	// Sibling intervals: the prelogs immediately before and after.
-	prev, next := -1, -1
-	for i, r := range c.Log.Books[pid].Records {
-		if r.Kind != logging.RecPrelog {
-			continue
-		}
-		switch {
-		case i < prelogIdx:
-			prev = i
-		case i > prelogIdx && next < 0:
-			next = i
-		}
-	}
-	add(pid, prev)
-	add(pid, next)
-
-	// The innermost interval enclosing this one (the caller's e-block).
-	add(pid, c.enclosingInterval(pid, prelogIdx))
-
-	// Cross-process writers: for each shared variable read by this
-	// process's edges overlapping the interval, the interval of the edge
-	// that supplied the value (§6.3's likely next hop).
-	res := c.Result(pid, prelogIdx)
-	span := len(c.Log.Books[pid].Records)
-	if res != nil {
-		span = prelogIdx + res.RecordsConsumed
-	}
-	for _, e := range c.pgraph.EdgesOf(pid) {
-		if e.EndRec < prelogIdx || e.StartRec > span {
-			continue
-		}
-		e.Reads.ForEach(func(gid int) {
-			if ref := c.ResolveInitial(pid, prelogIdx, gid); ref != nil {
-				add(ref.PID, ref.PrelogIdx)
-			}
-		})
-	}
-	return out
-}
-
-// enclosingInterval returns the record index of the innermost prelog whose
-// interval strictly contains the prelog at prelogIdx, or -1 for an
-// outermost interval.
-func (c *Controller) enclosingInterval(pid, prelogIdx int) int {
-	var stack []int
-	for i, r := range c.Log.Books[pid].Records {
-		if i == prelogIdx {
-			if len(stack) > 0 {
-				return stack[len(stack)-1]
-			}
-			return -1
-		}
-		switch r.Kind {
-		case logging.RecPrelog:
-			stack = append(stack, i)
-		case logging.RecPostlog:
-			if len(stack) > 0 {
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return -1
 }
 
 // Flowback walks backward from a node through data/control/sync edges up to

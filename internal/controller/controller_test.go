@@ -404,45 +404,6 @@ func main() { f(); g(); }`
 	}
 }
 
-// TestPrefetchNeighborsWarmsCache prefetches around the focus interval and
-// then checks the sibling/cross-process queries are all cache hits.
-func TestPrefetchNeighborsWarmsCache(t *testing.T) {
-	src := `
-shared sv;
-sem done = 0;
-func w() {
-	sv = 77;
-	V(done);
-}
-func main() {
-	spawn w();
-	P(done);
-	var x = sv + 1;
-	print(x);
-}`
-	c := session(t, src, vm.Options{Quantum: 1})
-	_, idx, err := c.CurrentGraph(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.PrefetchNeighbors(0, idx)
-	warm := c.Emulations()
-
-	// The cross-process writer interval must now be resident: resolving and
-	// fetching its graph re-emulates nothing.
-	gid := c.Art.Info.GlobalByName("sv").GlobalID
-	ref := c.ResolveInitial(0, idx, gid)
-	if ref == nil {
-		t.Fatal("cross-process resolution failed")
-	}
-	if _, err := c.Graph(ref.PID, ref.PrelogIdx); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Emulations(); got != warm {
-		t.Errorf("writer interval not prefetched: counter %d -> %d", warm, got)
-	}
-}
-
 // TestRacesMemoized proves the detector runs once per controller.
 func TestRacesMemoized(t *testing.T) {
 	c := session(t, `
@@ -489,11 +450,50 @@ func main() {
 				if _, err := c.Graph(0, idx); err != nil {
 					t.Errorf("Graph: %v", err)
 				}
-				c.PrefetchNeighbors(0, idx)
+				neighborGraphs(t, c, 0, idx)
 				c.Races()
 				c.Result(0, idx)
 			}
 		}(k)
+	}
+	wg.Wait()
+}
+
+// neighborGraphs fetches, concurrently, the graphs of the intervals a
+// user inspecting (pid, idx) is likely to query next: its sibling prelogs
+// in the book and the writer intervals that supply its shared globals.
+func neighborGraphs(t *testing.T, c *Controller, pid, idx int) {
+	t.Helper()
+	var targets [][2]int
+	idxs := prelogIndices(c, pid)
+	for k, i := range idxs {
+		if i != idx {
+			continue
+		}
+		if k > 0 {
+			targets = append(targets, [2]int{pid, idxs[k-1]})
+		}
+		if k+1 < len(idxs) {
+			targets = append(targets, [2]int{pid, idxs[k+1]})
+		}
+	}
+	for gid, g := range c.Art.Prog.Globals {
+		if !g.Shared {
+			continue
+		}
+		if ref := c.ResolveInitial(pid, idx, gid); ref != nil && ref.PrelogIdx >= 0 {
+			targets = append(targets, [2]int{ref.PID, ref.PrelogIdx})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, tg := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Graph(tg[0], tg[1]); err != nil {
+				t.Errorf("Graph(%d, %d): %v", tg[0], tg[1], err)
+			}
+		}()
 	}
 	wg.Wait()
 }

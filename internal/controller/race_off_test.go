@@ -8,3 +8,7 @@ const (
 	refIntervals = 32
 	refBudget    = 7_000_000
 )
+
+// raceEnabled reports a build under the race detector, which changes
+// allocation counts.
+const raceEnabled = false

@@ -9,3 +9,7 @@ const (
 	refIntervals = 8
 	refBudget    = 400_000
 )
+
+// raceEnabled reports a build under the race detector, which changes
+// allocation counts.
+const raceEnabled = true

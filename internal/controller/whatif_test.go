@@ -207,11 +207,12 @@ func whatIfKey(res *replay.WhatIfResult) string {
 	return fmt.Sprintf("%v | %s | %s", res.ChangedGlobals, side(res.Original), side(res.Modified))
 }
 
-// TestWhatIfConcurrentWithGraphAndPrefetch runs what-ifs while other
-// goroutines build graphs and prefetch on the same controller: all of
-// them check replay contexts out of the one shared pool. Every answer
-// must equal a sequential controller's (run under -race in CI).
-func TestWhatIfConcurrentWithGraphAndPrefetch(t *testing.T) {
+// TestWhatIfConcurrentWithGraph runs what-ifs while other goroutines
+// build graphs, each with its neighbours' graphs fetched concurrently, on
+// the same controller: all of them check replay contexts out of the one
+// shared pool. Every answer must equal a sequential controller's (run
+// under -race in CI).
+func TestWhatIfConcurrentWithGraph(t *testing.T) {
 	p := whatIfProgram{"tokenring", workloads.TokenRing(3, 20).Src}
 	art, v, c := loggedController(t, p, Config{Workers: 2})
 	seq := New(art, v.Log, Config{Failure: v.Failure, Deadlock: v.Deadlock})
@@ -272,7 +273,7 @@ func TestWhatIfConcurrentWithGraphAndPrefetch(t *testing.T) {
 					if g.String() != q.graph {
 						t.Errorf("P%d interval %d: concurrent graph differs", q.pid, q.idx)
 					}
-					c.PrefetchNeighbors(q.pid, q.idx)
+					neighborGraphs(t, c, q.pid, q.idx)
 				}
 			}
 		}(w)
@@ -309,6 +310,77 @@ func BenchmarkWhatIf(b *testing.B) {
 			}
 			b.ReportMetric(float64(steps), "steps/replay")
 		})
+	}
+}
+
+// TestEmuAllocsCeiling gates the debugging phase's allocations the way
+// TestRunAllocsCeiling gates the execution phase's: exact, deterministic
+// ceilings instead of benchmark noise. It pins allocs per what-if on
+// BenchmarkWhatIf's cases and allocs per pooled, recycled emulation
+// (BenchmarkEmulateInto's pooled rows) on the workloads whose traces hold
+// no call arguments, so both the untraced and the traced emulation tables
+// are covered. AllocsPerRun discards a warm-up call, so the what-if
+// ceilings sit below BenchmarkWhatIf's short-run averages, which include
+// the first call's pool misses.
+func TestEmuAllocsCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	whatIf := map[string]float64{"matmul": 12, "prodcons": 6, "tokenring": 7, "divide": 96, "histo": 12}
+	emulate := map[string]float64{"divide": 1, "histo": 1}
+	for _, wl := range workloads.Standard() {
+		art, v, c := loggedController(t, whatIfProgram{wl.Name, wl.Src}, Config{})
+		idx, err := c.FocusInterval(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov := identityOverride(art.Prog, v.Log.Books[0].Records[idx])
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := c.WhatIf(0, idx, ov); err != nil {
+				t.Fatal(err)
+			}
+		})
+		checkCeiling(t, wl.Name+" what-if", got, whatIf[wl.Name])
+
+		ceiling, ok := emulate[wl.Name]
+		if !ok {
+			continue
+		}
+		type job struct{ pid, idx int }
+		var jobs []job
+		ems := make([]*emulation.Emulator, len(v.Log.Books))
+		pool := emulation.NewPool(art.Prog, 2, nil)
+		for pid, book := range v.Log.Books {
+			ems[pid] = emulation.New(art.Prog, book)
+			ems[pid].SetPool(pool)
+			for i, r := range book.Records {
+				if r.Kind == logging.RecPrelog && len(jobs) < 200 {
+					jobs = append(jobs, job{pid, i})
+				}
+			}
+		}
+		var res emulation.Result
+		next := 0
+		emulateOne := func() {
+			j := jobs[next%len(jobs)]
+			next++
+			if err := ems[j.pid].EmulateInto(j.idx, &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range jobs { // warm the pool and the recycled result
+			emulateOne()
+		}
+		checkCeiling(t, wl.Name+" pooled EmulateInto", testing.AllocsPerRun(2*len(jobs), emulateOne), ceiling)
+	}
+}
+
+func checkCeiling(t *testing.T, what string, got, ceiling float64) {
+	t.Helper()
+	if got > ceiling {
+		t.Errorf("%s: %v allocs/op, ceiling %v", what, got, ceiling)
+	} else {
+		t.Logf("%s: %v allocs/op (ceiling %v)", what, got, ceiling)
 	}
 }
 

@@ -63,8 +63,8 @@ type Result struct {
 // Emulator re-executes e-block instances of one process. Prog and Book are
 // read-only during emulation, so one Emulator may run any number of
 // Emulate/EmulateFresh calls concurrently (each checks a replay context
-// out of the pool, or builds a fresh VM) — the Controller's prefetcher
-// relies on this.
+// out of the pool, or builds a fresh VM) — the Controller's concurrent
+// queries rely on this.
 type Emulator struct {
 	Prog *bytecode.Program
 	Book *logging.Book
@@ -92,8 +92,8 @@ func New(prog *bytecode.Program, book *logging.Book) *Emulator {
 }
 
 // SetPool installs a shared replay-context pool. The controller points
-// every process's emulator (and the prefetcher behind them) at one bounded
-// pool so concurrent sessions cannot hoard a VM per in-flight query.
+// every process's emulator at one bounded pool so concurrent sessions
+// cannot hoard a VM per in-flight query.
 func (e *Emulator) SetPool(p *Pool) {
 	if p != nil {
 		e.pool = p
@@ -555,9 +555,10 @@ func (h *hooks) OnPostlog(p *vm.Proc, blockID int, hasRet bool) (bool, error) {
 // The replay runs untraced on a pooled replay context, so the Result
 // carries the Outcome alone (Trace nil, RecordsConsumed 0) and a runaway
 // override costs instructions, not memory, until vm.ErrBudget stops it.
-// Untraced, the VM dispatches generically, so these replays stay out of
-// the pool's debug.emu.dispatch.* split. Under Generic it runs the oracle
-// instead: a fresh VM that records the full trace.
+// It runs the execution tables with their superinstructions, and stays
+// out of the pool's debug.emu.dispatch.* split. Under Generic it runs the
+// oracle instead: a fresh VM on the generic loop that records the full
+// trace.
 func (e *Emulator) EmulateFresh(prelogIdx int, pre *logging.Record) (*Result, error) {
 	if prelogIdx < 0 || prelogIdx >= len(e.Book.Records) {
 		return nil, fmt.Errorf("emulation: prelog index %d out of range", prelogIdx)
@@ -571,7 +572,7 @@ func (e *Emulator) EmulateFresh(prelogIdx int, pre *logging.Record) (*Result, er
 	}
 	e.runs.Add(1)
 	if e.Generic {
-		return e.emulateFreshGeneric(prelogIdx, pre), nil
+		return e.emulateFreshGeneric(prelogIdx, pre, 0), nil
 	}
 	ctx := e.pool.get()
 	ctx.fh = freshHooks{em: e, cursor: prelogIdx + 1, root: int(pre.Block)}
@@ -588,9 +589,10 @@ func (e *Emulator) EmulateFresh(prelogIdx int, pre *logging.Record) (*Result, er
 }
 
 // emulateFreshGeneric is the original EmulateFresh body, kept as the
-// oracle: a fresh VM per call, recording the full trace.
-func (e *Emulator) emulateFreshGeneric(prelogIdx int, pre *logging.Record) *Result {
-	machine := vm.New(e.Prog, vm.Options{Mode: vm.ModeEmulate})
+// oracle: a fresh VM per call on the generic loop, recording the full
+// trace, with an instruction budget of maxSteps (0: the VM's default).
+func (e *Emulator) emulateFreshGeneric(prelogIdx int, pre *logging.Record, maxSteps int64) *Result {
+	machine := vm.New(e.Prog, vm.Options{Mode: vm.ModeEmulate, EmuGeneric: true, MaxSteps: maxSteps})
 	h := &freshHooks{em: e, cursor: prelogIdx + 1, root: int(pre.Block)}
 	machine.SetHooks(h)
 	proc := startFresh(machine, pre)

@@ -1,6 +1,7 @@
 package emulation
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -43,6 +44,9 @@ func equivCases() []struct {
 		{"divide_s0_q5", workloads.Divide(11), eblock.DefaultConfig(), 0, 5},
 		{"divide_s3_q40", workloads.Divide(11), eblock.DefaultConfig(), 3, 40},
 		{"sharded_s0_q3", workloads.Sharded(4, 40), eblock.Config{}, 0, 3},
+		// histo is the workload whose windows fuse only under absint
+		// certificates: the shapes untraced emulation runs fused.
+		{"histo_q5", workloads.Histo(60), eblock.DefaultConfig(), 0, 5},
 	}
 }
 
@@ -94,10 +98,115 @@ func diffResults(t *testing.T, ctx string, fast, oracle *Result) {
 	}
 }
 
+// diffOutcomes fails the test unless an untraced what-if replay and its
+// oracle agree on everything a what-if reports: the end-of-interval
+// globals, completion, the failure and the steps executed.
+func diffOutcomes(t *testing.T, ctx string, fast, oracle *Result) {
+	t.Helper()
+	if got, want := fmt.Sprintf("%v", fast.Globals), fmt.Sprintf("%v", oracle.Globals); got != want {
+		t.Errorf("%s: untraced globals diverge\nfast:   %s\noracle: %s", ctx, got, want)
+	}
+	if fast.Completed != oracle.Completed {
+		t.Errorf("%s: untraced completed: fast %t, oracle %t", ctx, fast.Completed, oracle.Completed)
+	}
+	if got, want := errString(fast.Err), errString(oracle.Err); got != want {
+		t.Errorf("%s: untraced error diverges: fast %q, oracle %q", ctx, got, want)
+	}
+	if fast.Steps != oracle.Steps {
+		t.Errorf("%s: untraced steps: fast %d, oracle %d", ctx, fast.Steps, oracle.Steps)
+	}
+}
+
+// replayers holds one book's emulators for the differential checks: fast
+// (traced Emulate on its own recycled pool), fresh (untraced what-if
+// EmulateFresh on a one-context pool whose VM stops at maxSteps, 0 for
+// the VM's default budget) and the Generic oracle of both.
+type replayers struct {
+	fast, fresh, oracle *Emulator
+	pool                *Pool // fresh's pool
+	maxSteps            int64
+}
+
+func newReplayers(prog *bytecode.Program, book *logging.Book, maxSteps int64) *replayers {
+	r := &replayers{fast: New(prog, book), fresh: New(prog, book), oracle: New(prog, book), maxSteps: maxSteps}
+	r.oracle.Generic = true
+	r.pool = NewPool(prog, 1, nil)
+	r.pool.put(&Context{machine: vm.New(prog, vm.Options{Mode: vm.ModeEmulate, MaxSteps: maxSteps})})
+	r.fresh.SetPool(r.pool)
+	return r
+}
+
+// freshPair replays the interval at idx as an unmodified what-if both
+// ways under one instruction budget: pooled and untraced through
+// EmulateFresh, and through the Generic oracle.
+func (r *replayers) freshPair(t *testing.T, idx int) (fast, oracle *Result) {
+	t.Helper()
+	fast, err := r.fresh.EmulateFresh(idx, nil)
+	if err != nil {
+		t.Fatalf("idx %d: EmulateFresh: %v", idx, err)
+	}
+	return fast, r.oracle.emulateFreshGeneric(idx, r.oracle.Book.Records[idx], r.maxSteps)
+}
+
+// check compares the interval at idx both ways the debugger replays one:
+// the traced Emulate and the untraced what-if EmulateFresh, each pooled
+// against the Generic oracle.
+func (r *replayers) check(t *testing.T, pid, idx int) {
+	t.Helper()
+	ctx := fmt.Sprintf("pid %d idx %d", pid, idx)
+	fres, ferr := r.fast.Emulate(idx)
+	ores, oerr := r.oracle.Emulate(idx)
+	if errString(ferr) != errString(oerr) {
+		t.Fatalf("%s: call error diverges: fast %v, oracle %v", ctx, ferr, oerr)
+	}
+	if ferr == nil {
+		diffResults(t, ctx, fres, ores)
+	}
+	fast, oracle := r.freshPair(t, idx)
+	diffOutcomes(t, ctx, fast, oracle)
+}
+
+// checkBudgetCuts sweeps instruction budgets over the book's longest
+// sampled what-if replay: every cut must end both ways with ErrBudget at
+// the same step, and at least one must land strictly inside a fused
+// window, where the fast path has to fall back to single-op dispatch.
+func checkBudgetCuts(t *testing.T, prog *bytecode.Program, book *logging.Book) {
+	t.Helper()
+	idx, total := -1, int64(0)
+	whole := newReplayers(prog, book, 0)
+	for _, i := range prelogIdxs(book, 64) {
+		if res, _ := whole.freshPair(t, i); res.Steps > total {
+			idx, total = i, res.Steps
+		}
+	}
+	inWindow := 0
+	for cut := int64(1); cut < total && cut <= 400; cut++ {
+		r := newReplayers(prog, book, cut)
+		fast, oracle := r.freshPair(t, idx)
+		ctx := fmt.Sprintf("idx %d cut %d", idx, cut)
+		if !errors.Is(fast.Err, vm.ErrBudget) || fast.Steps != cut+1 {
+			t.Fatalf("%s: fast replay ended with %v at step %d, want ErrBudget at %d", ctx, fast.Err, fast.Steps, cut+1)
+		}
+		diffOutcomes(t, ctx, fast, oracle)
+		p := r.pool.get().machine.Procs[0] // the replay's final state
+		f := p.Frames[len(p.Frames)-1]
+		for s := max(f.PC-3, 0); s < f.PC && s < len(f.Fn.Super); s++ {
+			if w := f.Fn.Super[s]; w.Op != bytecode.SuperNone && s+int(w.W) > f.PC {
+				inWindow++
+				break
+			}
+		}
+	}
+	if inWindow == 0 {
+		t.Errorf("idx %d: no budget cut in 1..%d landed inside a fused window", idx, min(total-1, 400))
+	}
+	t.Logf("idx %d: %d of the budget cuts in 1..%d landed inside a fused window", idx, inWindow, min(total-1, 400))
+}
+
 // TestEmuDispatchByteIdentical is the fast path's differential gate: across
 // the golden workload × seed × quantum matrix, with and without fused
-// superinstructions, every interval's pooled fast-dispatch emulation must
-// match the fresh-VM generic oracle on every observable.
+// superinstructions, every interval's pooled fast-dispatch emulation, traced
+// and untraced, must match the fresh-VM generic oracle on every observable.
 func TestEmuDispatchByteIdentical(t *testing.T) {
 	for _, tc := range equivCases() {
 		for _, fused := range []bool{false, true} {
@@ -115,20 +224,13 @@ func TestEmuDispatchByteIdentical(t *testing.T) {
 				v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: tc.seed, Quantum: tc.quantum})
 				_ = v.Run()
 				for pid, book := range v.Log.Books {
-					fast := New(art.Prog, book)
-					oracle := New(art.Prog, book)
-					oracle.Generic = true
+					r := newReplayers(art.Prog, book, 0)
 					for _, idx := range prelogIdxs(book, 64) {
-						fres, ferr := fast.Emulate(idx)
-						ores, oerr := oracle.Emulate(idx)
-						if errString(ferr) != errString(oerr) {
-							t.Fatalf("pid %d idx %d: call error diverges: fast %v, oracle %v", pid, idx, ferr, oerr)
-						}
-						if ferr != nil {
-							continue
-						}
-						diffResults(t, fmt.Sprintf("pid %d idx %d", pid, idx), fres, ores)
+						r.check(t, pid, idx)
 					}
+				}
+				if fused && tc.name == "divide_s0_q5" {
+					checkBudgetCuts(t, art.Prog, v.Log.Books[0])
 				}
 			})
 		}
@@ -162,19 +264,11 @@ func FuzzEmuEquivalence(f *testing.F) {
 		v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: seed, Quantum: quantum, MaxSteps: maxSteps})
 		_ = v.Run()
 		for pid, book := range v.Log.Books {
-			fast := New(art.Prog, book)
-			oracle := New(art.Prog, book)
-			oracle.Generic = true
+			// A what-if replay ignores shared prelogs, so it may spin
+			// where the logged run did not: bound it like the run.
+			r := newReplayers(art.Prog, book, maxSteps)
 			for _, idx := range prelogIdxs(book, 16) {
-				fres, ferr := fast.Emulate(idx)
-				ores, oerr := oracle.Emulate(idx)
-				if errString(ferr) != errString(oerr) {
-					t.Fatalf("pid %d idx %d: call error diverges: fast %v, oracle %v", pid, idx, ferr, oerr)
-				}
-				if ferr != nil {
-					continue
-				}
-				diffResults(t, fmt.Sprintf("pid %d idx %d", pid, idx), fres, ores)
+				r.check(t, pid, idx)
 			}
 		}
 	})

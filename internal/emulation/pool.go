@@ -31,8 +31,8 @@ type Context struct {
 // Pool hands out replay contexts for one program. It is bounded: at most
 // `bound` idle contexts are retained, so a server holding many sessions
 // does not hoard a VM per past query — excess contexts are dropped for the
-// GC. All methods are safe for concurrent use (the controller's prefetcher
-// emulates neighbor intervals in parallel).
+// GC. All methods are safe for concurrent use (a controller's concurrent
+// queries emulate intervals in parallel).
 type Pool struct {
 	prog *bytecode.Program
 

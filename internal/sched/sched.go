@@ -1,7 +1,7 @@
 // Package sched is the debugging phase's shared worker pool: a small,
 // bounded fan-out primitive used by parallel graph construction
 // (parallel.Build), the parallel race detector (race.Detect), and the
-// Controller's cache prefetching.
+// Controller's emulator construction.
 //
 // The paper's §7 leaves "reducing the cost of finding all pairs of possible
 // conflicting edges" open, and every debugging-phase analysis here

@@ -146,11 +146,9 @@ func (v *VM) runSliceTab(p *Proc) {
 }
 
 // buildDispatchTables fills the execution-phase op and superinstruction
-// tables, their profiling wrappers, and the emulation tables.
+// tables, the emulation tables derived from them, and the profiling
+// wrappers.
 func buildDispatchTables() {
-	for i := range execOps {
-		execOps[i] = dCold
-	}
 	execOps[bytecode.OpNop] = dNop
 	execOps[bytecode.OpConst] = dConst
 	execOps[bytecode.OpPop] = dPop
@@ -206,6 +204,15 @@ func buildDispatchTables() {
 	execSups[bytecode.SuperIdxStoreL] = sIdxStoreL
 	execSups[bytecode.SuperIdxStoreG] = sIdxStoreG
 
+	// The emulation tables are derived while the unspecialized opcodes are
+	// still nil; then each of them routes to the generic step.
+	buildEmuDispatchTables()
+	for i, h := range execOps {
+		if h == nil {
+			execOps[i] = dCold
+		}
+	}
+
 	// The profiling wrappers count before the real handler runs. A fused
 	// dispatch counts its constituent opcodes and pairs (the driver has
 	// already advanced the pc past them), so the histogram does not depend
@@ -229,8 +236,6 @@ func buildDispatchTables() {
 			h(d, s)
 		}
 	}
-
-	buildEmuDispatchTables()
 }
 
 // dCold hands the instruction to the generic step — the same fallback the

@@ -97,19 +97,23 @@ func (v *VM) StartEmuProcOwned(fn *bytecode.Func, slots []Value, startPC int, tb
 }
 
 // RunEmu drives the single emulation process until the hooks stop it, it
-// returns from its root frame, or it fails. A traced process (one with a
-// trace buffer: StartEmuProc always attaches one, StartEmuProcOwned
-// attaches the caller's) runs through the ModeEmulate dispatch table
-// (emudispatch.go); Options.EmuGeneric forces the generic loop, which is
-// the fast path's byte-identity oracle. An untraced process (what-if
-// replays, which need only the outcome) runs the generic loop with the
-// tracing predicate hoisted off. Running past Options.MaxSteps returns
+// returns from its root frame, or it fails. It runs the execution handler
+// set (emudispatch.go): a traced process (one with a trace buffer:
+// StartEmuProc always attaches one, StartEmuProcOwned attaches the
+// caller's) through the traced wrappers, an untraced one (what-if
+// replays, which need only the outcome) through the plain handlers and the
+// superinstructions. Options.EmuGeneric forces the generic loop instead,
+// the byte-identity oracle of both. Running past Options.MaxSteps returns
 // ErrBudget.
 func (v *VM) RunEmu(p *Proc) error {
-	if !v.Opts.EmuGeneric && v.tracing(p) {
-		return v.runEmuTab(p)
+	if v.Opts.EmuGeneric {
+		return v.runEmuGeneric(p)
 	}
-	return v.runEmuGeneric(p)
+	tablesOnce.Do(buildDispatchTables)
+	if p.Tbuf != nil {
+		return v.runEmuTab(p, &emuTraceOps, nil)
+	}
+	return v.runEmuTab(p, &emuOps, &execSups)
 }
 
 // runEmuGeneric is the original stepT-driven emulation loop, kept verbatim
@@ -295,9 +299,7 @@ func (v *VM) stepT(p *Proc, tracing bool) {
 		}
 		arr[i] = val
 		v.markWrite(p, in.A)
-		if v.gDirty != nil {
-			v.gDirty[in.A] = true
-		}
+		v.gDirty[in.A] = true
 		if tracing {
 			p.Tbuf.Append(trace.Event{Kind: trace.EvWrite, Stmt: in.Stmt, Var: v.spaceGlobal(f.Fn, in.A), Idx: int(i), Value: val})
 		}

@@ -306,8 +306,8 @@ type VM struct {
 	// gSnap/gDirty implement copy-on-write global array snapshots: a
 	// prelog reuses gSnap[gid] until an indexed store sets gDirty[gid],
 	// so unwritten arrays are never re-cloned. gSnap exists under ModeLog
-	// only; gDirty wherever the table handlers run, since they set it
-	// unconditionally.
+	// only; gDirty in every mode, since the indexed-store handlers every
+	// mode runs set it unconditionally.
 	gSnap  [][]int64
 	gDirty []bool
 
@@ -346,6 +346,7 @@ func New(prog *bytecode.Program, opts Options) *VM {
 	}
 	v.Globals = make([]Value, len(prog.Globals))
 	v.shared = make([]bool, len(prog.Globals))
+	v.gDirty = make([]bool, len(prog.Globals))
 	// ModeEmulate runs a single process with no scheduler and no real
 	// synchronization (sync ops replay from the log before touching
 	// sems/chans), so those structures are never allocated — the pooled
@@ -387,11 +388,6 @@ func New(prog *bytecode.Program, opts Options) *VM {
 		}
 		v.gSnap = make([][]int64, len(prog.Globals))
 	}
-	if opts.Mode == ModeRun || opts.Mode == ModeLog {
-		// ModeRun runs ModeLog's table handlers, which set gDirty
-		// unconditionally; its shared bits stay all false and it has no log.
-		v.gDirty = make([]bool, len(prog.Globals))
-	}
 	if opts.Mode == ModeFullTrace {
 		v.Trace = &trace.Program{}
 	}
@@ -419,10 +415,10 @@ func (v *VM) newProc(fn *bytecode.Func, args []int64, fromGsn uint64) *Proc {
 		PID:    len(v.Procs),
 		Status: StatusReady,
 	}
-	if v.Opts.Mode != ModeEmulate {
+	if v.Opts.Mode == ModeLog {
 		// The internal-edge access sets are filled only through a true
-		// shared bit and drained only by ModeLog's records; emulation,
-		// whose shared bits are all false, never touches them.
+		// shared bit and drained only by ModeLog's records; every other
+		// mode's shared bits are all false, so it never touches them.
 		p.reads = bitset.New(v.numGlobals)
 		p.writes = bitset.New(v.numGlobals)
 	}

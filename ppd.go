@@ -123,7 +123,7 @@ type Options struct {
 	// execute, leaving a debuggable stopped state.
 	BreakAt int
 	// Workers bounds the debugging phase's worker-pool fan-out (race
-	// detection, emulator construction, prefetch). 0 uses GOMAXPROCS.
+	// detection, emulator construction). 0 uses GOMAXPROCS.
 	Workers int
 	// CacheBound caps the controller's interval LRU cache: 0 means the
 	// default bound, < 0 removes the bound.

@@ -117,7 +117,7 @@ func (s *Session) Vet() (*VetResult, error) {
 }
 
 // Controller exposes the debugging-phase coordinator for flowback
-// queries (Graph, FocusInterval, PrefetchNeighbors, ...).
+// queries (Graph, FocusInterval, WhatIf, ...).
 func (s *Session) Controller() (*Controller, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
