@@ -104,10 +104,9 @@ bench:
 # emulate identically through the emulation tables and the generic loop
 # (traced and untraced), and run identically fused and unfused. `go test`
 # alone runs only their checked-in seeds.
-FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzEmuEquivalence$$' -fuzztime $(FUZZTIME) ./internal/emulation/
-	$(GO) test -run '^$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/vm/
+	$(GO) test -run '^$$' -fuzz '^FuzzEmuEquivalence$$' -fuzztime 10s ./internal/emulation/
+	$(GO) test -run '^$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime 10s ./internal/vm/
 	@echo "fuzz-smoke: OK"
 
 # One iteration of every benchmark: catches benchmarks that fail or rot

@@ -572,7 +572,7 @@ func (e *Emulator) EmulateFresh(prelogIdx int, pre *logging.Record) (*Result, er
 	}
 	e.runs.Add(1)
 	if e.Generic {
-		return e.emulateFreshGeneric(prelogIdx, pre, 0), nil
+		return e.emulateFreshGeneric(prelogIdx, pre), nil
 	}
 	ctx := e.pool.get()
 	ctx.fh = freshHooks{em: e, cursor: prelogIdx + 1, root: int(pre.Block)}
@@ -590,9 +590,9 @@ func (e *Emulator) EmulateFresh(prelogIdx int, pre *logging.Record) (*Result, er
 
 // emulateFreshGeneric is the original EmulateFresh body, kept as the
 // oracle: a fresh VM per call on the generic loop, recording the full
-// trace, with an instruction budget of maxSteps (0: the VM's default).
-func (e *Emulator) emulateFreshGeneric(prelogIdx int, pre *logging.Record, maxSteps int64) *Result {
-	machine := vm.New(e.Prog, vm.Options{Mode: vm.ModeEmulate, EmuGeneric: true, MaxSteps: maxSteps})
+// trace.
+func (e *Emulator) emulateFreshGeneric(prelogIdx int, pre *logging.Record) *Result {
+	machine := vm.New(e.Prog, vm.Options{Mode: vm.ModeEmulate, EmuGeneric: true})
 	h := &freshHooks{em: e, cursor: prelogIdx + 1, root: int(pre.Block)}
 	machine.SetHooks(h)
 	proc := startFresh(machine, pre)

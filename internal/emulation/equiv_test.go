@@ -120,32 +120,47 @@ func diffOutcomes(t *testing.T, ctx string, fast, oracle *Result) {
 // replayers holds one book's emulators for the differential checks: fast
 // (traced Emulate on its own recycled pool), fresh (untraced what-if
 // EmulateFresh on a one-context pool whose VM stops at maxSteps, 0 for
-// the VM's default budget) and the Generic oracle of both.
+// the VM's default budget), the Generic oracle of both, and freshOracle,
+// fresh's oracle: the Generic one under the default budget, else a
+// one-context pool whose VM runs the generic loop under the same budget.
 type replayers struct {
-	fast, fresh, oracle *Emulator
-	pool                *Pool // fresh's pool
-	maxSteps            int64
+	fast, fresh, oracle, freshOracle *Emulator
+	pool                             *Pool // fresh's pool
 }
 
 func newReplayers(prog *bytecode.Program, book *logging.Book, maxSteps int64) *replayers {
-	r := &replayers{fast: New(prog, book), fresh: New(prog, book), oracle: New(prog, book), maxSteps: maxSteps}
+	r := &replayers{fast: New(prog, book), oracle: New(prog, book)}
 	r.oracle.Generic = true
-	r.pool = NewPool(prog, 1, nil)
-	r.pool.put(&Context{machine: vm.New(prog, vm.Options{Mode: vm.ModeEmulate, MaxSteps: maxSteps})})
-	r.fresh.SetPool(r.pool)
+	r.fresh, r.pool = onePool(prog, book, vm.Options{Mode: vm.ModeEmulate, MaxSteps: maxSteps})
+	r.freshOracle = r.oracle
+	if maxSteps != 0 {
+		r.freshOracle, _ = onePool(prog, book, vm.Options{Mode: vm.ModeEmulate, EmuGeneric: true, MaxSteps: maxSteps})
+	}
 	return r
+}
+
+// onePool returns an emulator whose pool holds one context, on a VM built
+// with opts.
+func onePool(prog *bytecode.Program, book *logging.Book, opts vm.Options) (*Emulator, *Pool) {
+	e, pool := New(prog, book), NewPool(prog, 1, nil)
+	pool.put(&Context{machine: vm.New(prog, opts)})
+	e.SetPool(pool)
+	return e, pool
 }
 
 // freshPair replays the interval at idx as an unmodified what-if both
 // ways under one instruction budget: pooled and untraced through
-// EmulateFresh, and through the Generic oracle.
+// EmulateFresh, and through its oracle.
 func (r *replayers) freshPair(t *testing.T, idx int) (fast, oracle *Result) {
 	t.Helper()
 	fast, err := r.fresh.EmulateFresh(idx, nil)
 	if err != nil {
 		t.Fatalf("idx %d: EmulateFresh: %v", idx, err)
 	}
-	return fast, r.oracle.emulateFreshGeneric(idx, r.oracle.Book.Records[idx], r.maxSteps)
+	if oracle, err = r.freshOracle.EmulateFresh(idx, nil); err != nil {
+		t.Fatalf("idx %d: oracle EmulateFresh: %v", idx, err)
+	}
+	return fast, oracle
 }
 
 // check compares the interval at idx both ways the debugger replays one:

@@ -23,6 +23,9 @@ import (
 // pays for that with a guard, never with a record: its shared-variable
 // bits are all false, so the access-marking branches are never taken, and
 // the e-block marker handlers return at once when the VM is not logging.
+// ModeEmulate runs the same handlers too (emudispatch.go): execSups as
+// they are for untraced replays, and emuOps/emuTraceOps derived from
+// execOps.
 //
 // The contract is pinned by the golden matrix (TestLogGoldenByteIdentical,
 // TestLogGoldenFusedVsUnfused): same step counts, same failure sites,
@@ -76,8 +79,8 @@ const (
 
 var (
 	tablesOnce sync.Once
-	execOps    opTable    // ModeRun and ModeLog
-	execSups   superTable // ModeRun and ModeLog
+	execOps    opTable    // ModeRun and ModeLog; emuOps/emuTraceOps derive from it
+	execSups   superTable // ModeRun, ModeLog and untraced ModeEmulate
 	profOps    opTable    // execOps counting into Options.OpProfile
 	profSups   superTable // execSups counting into Options.OpProfile
 )

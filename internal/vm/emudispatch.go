@@ -70,7 +70,7 @@ func emuTraced(op bytecode.Op, h opFn) opFn {
 	switch op {
 	case bytecode.OpLoadLocal, bytecode.OpLoadGlobal, bytecode.OpLoadIndexedL, bytecode.OpLoadIndexedG:
 		return func(d *dispatch, in *bytecode.Instr) {
-			d.emuBoundary(in)
+			d.v.emitStmtBoundary(d.p, in)
 			idx := -1
 			if indexed {
 				idx = int(d.stack[len(d.stack)-1])
@@ -82,7 +82,7 @@ func emuTraced(op bytecode.Op, h opFn) opFn {
 		}
 	case bytecode.OpStoreLocal, bytecode.OpStoreGlobal, bytecode.OpStoreIndexedL, bytecode.OpStoreIndexedG:
 		return func(d *dispatch, in *bytecode.Instr) {
-			d.emuBoundary(in)
+			d.v.emitStmtBoundary(d.p, in)
 			n := len(d.stack)
 			val, idx := d.stack[n-1], -1
 			if indexed {
@@ -95,7 +95,7 @@ func emuTraced(op bytecode.Op, h opFn) opFn {
 		}
 	case bytecode.OpJmpFalse:
 		return func(d *dispatch, in *bytecode.Instr) {
-			d.emuBoundary(in)
+			d.v.emitStmtBoundary(d.p, in)
 			c := d.stack[len(d.stack)-1]
 			h(d, in)
 			if d.sig != sigExit && in.B == 1 {
@@ -104,7 +104,7 @@ func emuTraced(op bytecode.Op, h opFn) opFn {
 		}
 	}
 	return func(d *dispatch, in *bytecode.Instr) {
-		d.emuBoundary(in)
+		d.v.emitStmtBoundary(d.p, in)
 		h(d, in)
 	}
 }
@@ -117,15 +117,6 @@ func (d *dispatch) emuAccess(kind trace.EventKind, in *bytecode.Instr, global bo
 		v += d.f.Fn.NumSlots
 	}
 	d.p.Tbuf.Append(trace.Event{Kind: kind, Stmt: in.Stmt, Var: v, Idx: idx, Value: val})
-}
-
-// emuBoundary emits EvStmt when crossing into a new statement — the same
-// predicate stepT applies before every non-marker instruction.
-func (d *dispatch) emuBoundary(in *bytecode.Instr) {
-	if in.Stmt != ast.NoStmt && in.Stmt != d.p.lastStmt {
-		d.p.lastStmt = in.Stmt
-		d.p.Tbuf.Append(trace.Event{Kind: trace.EvStmt, Stmt: in.Stmt})
-	}
 }
 
 // runEmuTab is the table-driven counterpart of runEmuGeneric (the oracle
