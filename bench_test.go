@@ -16,6 +16,7 @@ import (
 	"ppd/internal/controller"
 	"ppd/internal/eblock"
 	"ppd/internal/emulation"
+	"ppd/internal/logging"
 	"ppd/internal/obs"
 	"ppd/internal/parallel"
 	"ppd/internal/race"
@@ -112,7 +113,12 @@ func BenchmarkEmulateEBlock(b *testing.B) {
 	art := mustCompile(b, w, eblock.DefaultConfig())
 	v := runVM(b, art, vm.ModeLog)
 	em := emulation.New(art.Prog, v.Log.Books[0])
-	idx := em.LastPrelog()
+	idx := -1 // the book's final prelog
+	for i, r := range em.Book.Records {
+		if r.Kind == logging.RecPrelog {
+			idx = i
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := em.Emulate(idx); err != nil {

@@ -14,6 +14,7 @@ package controller
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -513,35 +514,48 @@ func Flowback(g *dynpdg.Graph, from dynpdg.NodeID, depth int) []*dynpdg.Node {
 // rooted at the node, the textual analogue of the paper's inverted-tree
 // display.
 func RenderFragment(g *dynpdg.Graph, root dynpdg.NodeID, depth int) string {
-	var sb strings.Builder
-	var walk func(id dynpdg.NodeID, d int, via string, seen map[dynpdg.NodeID]bool)
-	walk = func(id dynpdg.NodeID, d int, via string, seen map[dynpdg.NodeID]bool) {
-		n := g.Nodes[id]
-		fmt.Fprintf(&sb, "%s", strings.Repeat("  ", d))
-		if via != "" {
-			fmt.Fprintf(&sb, "<-%s- ", via)
-		}
-		fmt.Fprintf(&sb, "n%d [%s]", n.ID, n.Label)
-		if n.Stmt != ast.NoStmt {
-			fmt.Fprintf(&sb, " s%d", n.Stmt)
-		}
-		if n.HasValue {
-			fmt.Fprintf(&sb, " = %d", n.Value)
-		}
-		sb.WriteByte('\n')
-		if d == depth || seen[id] {
-			return
-		}
-		seen[id] = true
-		for _, e := range g.Incoming(id) {
-			if e.Kind == dynpdg.EdgeFlow {
-				continue
-			}
-			walk(e.From, d+1, e.Kind.String(), seen)
-		}
+	f := fragment{g: g, depth: depth, seen: make([]uint64, (len(g.Nodes)+63)/64), buf: make([]byte, 0, 512)}
+	f.walk(root, 0, "")
+	return string(f.buf)
+}
+
+// fragment is RenderFragment's walk: one line per visit, and each node's
+// non-flow dependences expanded below its first visit, down to depth.
+type fragment struct {
+	g     *dynpdg.Graph
+	depth int
+	seen  []uint64 // bit per node: expanded
+	buf   []byte
+}
+
+func (f *fragment) walk(id dynpdg.NodeID, d int, via string) {
+	n := f.g.Nodes[id]
+	for range d {
+		f.buf = append(f.buf, "  "...)
 	}
-	walk(root, 0, "", map[dynpdg.NodeID]bool{})
-	return sb.String()
+	if via != "" {
+		f.buf = append(append(append(f.buf, "<-"...), via...), "- "...)
+	}
+	f.buf = strconv.AppendInt(append(f.buf, 'n'), int64(n.ID), 10)
+	f.buf = append(append(append(f.buf, " ["...), n.Label...), ']')
+	if n.Stmt != ast.NoStmt {
+		f.buf = strconv.AppendInt(append(f.buf, " s"...), int64(n.Stmt), 10)
+	}
+	if n.HasValue {
+		f.buf = strconv.AppendInt(append(f.buf, " = "...), n.Value, 10)
+	}
+	f.buf = append(f.buf, '\n')
+	word, bit := id/64, uint64(1)<<(id%64)
+	if d == f.depth || f.seen[word]&bit != 0 {
+		return
+	}
+	f.seen[word] |= bit
+	for _, e := range f.g.Incoming(id) {
+		if e.Kind == dynpdg.EdgeFlow {
+			continue
+		}
+		f.walk(e.From, d+1, e.Kind.String())
+	}
 }
 
 // Summary describes the halted execution for the debugger's banner.

@@ -14,11 +14,14 @@ package dynpdg
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"ppd/internal/ast"
 	"ppd/internal/compile"
 	"ppd/internal/logging"
+	"ppd/internal/pdg"
 	"ppd/internal/trace"
 )
 
@@ -117,31 +120,18 @@ type Graph struct {
 	Nodes []*Node
 	Edges []*Edge
 
-	// incoming indexes edges by target for flowback navigation.
-	incoming map[NodeID][]*Edge
-	outgoing map[NodeID][]*Edge
-}
-
-// NewNode appends a node.
-func (g *Graph) newNode(n *Node) *Node {
-	n.ID = NodeID(len(g.Nodes))
-	n.Seq = len(g.Nodes)
-	g.Nodes = append(g.Nodes, n)
-	return n
-}
-
-func (g *Graph) addEdge(kind EdgeKind, from, to NodeID, v int) {
-	e := &Edge{Kind: kind, From: from, To: to, Var: v}
-	g.Edges = append(g.Edges, e)
-	g.incoming[to] = append(g.incoming[to], e)
-	g.outgoing[from] = append(g.outgoing[from], e)
+	// inAt and outAt index Edges by NodeID, for flowback navigation: node
+	// n's incoming edges are in[inAt[n]:inAt[n+1]] and its outgoing ones
+	// out[outAt[n]:outAt[n+1]], each in the order the edges were added.
+	inAt, outAt []int
+	in, out     []*Edge
 }
 
 // Incoming returns the edges arriving at n (the flowback direction).
-func (g *Graph) Incoming(n NodeID) []*Edge { return g.incoming[n] }
+func (g *Graph) Incoming(n NodeID) []*Edge { return g.in[g.inAt[n]:g.inAt[n+1]:g.inAt[n+1]] }
 
 // Outgoing returns the edges leaving n.
-func (g *Graph) Outgoing(n NodeID) []*Edge { return g.outgoing[n] }
+func (g *Graph) Outgoing(n NodeID) []*Edge { return g.out[g.outAt[n]:g.outAt[n+1]:g.outAt[n+1]] }
 
 // LastNode returns the most recently created non-exit node, or nil. It is
 // the root the debugger presents first ("the last statement executed").
@@ -167,40 +157,47 @@ func (g *Graph) NodesForStmt(id ast.StmtID) []*Node {
 
 // builder state for one activation (function instance) being walked.
 type activation struct {
-	fnIdx    int
 	fnName   string
+	fpdg     *pdg.FuncPDG
 	numSlots int
-	// lastWrite maps function-space var index -> defining node.
-	lastWrite map[int]NodeID
-	// ctrlStack holds the predicate nodes currently governing execution
-	// (approximation: the static control dependences resolve which apply;
-	// we use the static PDG to attach control edges precisely).
-	callNode NodeID // the sub-graph node in the caller, or -1 for the root
+	// lastWrite maps function-space local slot -> defining node, or -1.
+	lastWrite []NodeID
+	callNode  NodeID // the sub-graph node in the caller, or -1 for the root
 }
 
 // Build constructs the dynamic graph from an emulated interval's trace.
 // rootFn names the function the interval belongs to.
 func Build(art *compile.Artifacts, buf *trace.Buffer, rootFn string) *Graph {
-	g := &Graph{
-		Art:      art,
-		Fn:       rootFn,
-		incoming: make(map[NodeID][]*Edge),
-		outgoing: make(map[NodeID][]*Edge),
-	}
-	b := &gbuilder{g: g, art: art}
-	b.run(buf, rootFn)
+	b := builders.Get().(*gbuilder)
+	g := b.run(art, buf, rootFn)
+	b.art = nil
+	builders.Put(b)
 	return g
 }
 
+// builders recycles the builder's scratch (nodes and edges under
+// construction, the dense indexes, the activation stack) across builds:
+// a graph owns only exact-size copies of what it keeps.
+var builders = sync.Pool{New: func() any { return new(gbuilder) }}
+
 type gbuilder struct {
-	g   *Graph
 	art *compile.Artifacts
 
-	acts []*activation
+	// nodes and edges under construction, by NodeID and in order.
+	nodes []Node
+	edges []Edge
 
-	// lastWriteGlobal maps GlobalID -> defining node (globals are shared
-	// across activations).
-	lastWriteGlobal map[int]NodeID
+	acts []activation
+
+	// lastWriteGlobal maps GlobalID -> defining node, or -1 (globals are
+	// shared across activations).
+	lastWriteGlobal []NodeID
+
+	// lastInst maps StmtID -> the most recent node of that statement, or
+	// -1; prevInst is the entry the newest node displaced, so the newest
+	// node can find its own statement's previous instance.
+	lastInst []NodeID
+	prevInst NodeID
 
 	// current statement instance node per activation depth
 	curStmtNode NodeID
@@ -214,9 +211,16 @@ type gbuilder struct {
 	// when the call returns.
 	callSaves []callSave
 
-	// resume, when set, continues the saved statement instance at the next
-	// EvStmt instead of opening a duplicate node.
-	resume *callSave
+	// resume, when resuming, continues the saved statement instance at the
+	// next EvStmt instead of opening a duplicate node.
+	resume   callSave
+	resuming bool
+
+	consumed []bool // bindParams scratch
+	// saved backs the pending-read sets bindParams hands to callSaves and
+	// resume. A set is copied out when its statement resumes, so a later
+	// carve never shares memory with a live set.
+	saved []dep
 
 	argVarsCache map[argVarsKey][][]int
 }
@@ -262,20 +266,13 @@ type argVarsKey struct {
 	callee int
 }
 
-func (b *gbuilder) top() *activation { return b.acts[len(b.acts)-1] }
+func (b *gbuilder) top() *activation { return &b.acts[len(b.acts)-1] }
 
-func (b *gbuilder) run(buf *trace.Buffer, rootFn string) {
-	fn := b.art.Prog.FuncByName(rootFn)
-	b.lastWriteGlobal = make(map[int]NodeID)
-	entry := b.g.newNode(&Node{Kind: NodeEntry, Label: "ENTRY:" + rootFn, Var: -1})
-	b.prevNode = entry.ID
-	b.acts = []*activation{{
-		fnIdx:     fn.Idx,
-		fnName:    rootFn,
-		numSlots:  fn.NumSlots,
-		lastWrite: make(map[int]NodeID),
-		callNode:  -1,
-	}}
+func (b *gbuilder) run(art *compile.Artifacts, buf *trace.Buffer, rootFn string) *Graph {
+	b.reset(art, len(buf.Events))
+	fn := art.Prog.FuncByName(rootFn)
+	b.prevNode = b.newNode(NodeEntry, ast.NoStmt, "ENTRY:"+rootFn, -1)
+	b.pushAct(rootFn, fn.NumSlots, -1)
 	b.curStmtNode = -1
 
 	for i := range buf.Events {
@@ -284,8 +281,118 @@ func (b *gbuilder) run(buf *trace.Buffer, rootFn string) {
 	if b.curStmtNode >= 0 && len(b.pendingDeps) > 0 {
 		b.flushDeps(b.curStmtNode)
 	}
-	exit := b.g.newNode(&Node{Kind: NodeExit, Label: "EXIT:" + rootFn, Var: -1})
-	b.g.addEdge(EdgeFlow, b.prevNode, exit.ID, -1)
+	exit := b.newNode(NodeExit, ast.NoStmt, "EXIT:"+rootFn, -1)
+	b.addEdge(EdgeFlow, b.prevNode, exit, -1)
+	return b.graph(rootFn)
+}
+
+// reset readies a recycled builder for a trace of the given length. The
+// scratch is sized from it: a graph holds about one node per two or three
+// events and about one edge per event (more on the shortest intervals,
+// where the scratch then grows).
+func (b *gbuilder) reset(art *compile.Artifacts, events int) {
+	b.art = art
+	if cap(b.nodes) < events/2+8 {
+		b.nodes = make([]Node, 0, events/2+8)
+	}
+	if cap(b.edges) < events+8 {
+		b.edges = make([]Edge, 0, events+8)
+	}
+	b.nodes, b.edges = b.nodes[:0], b.edges[:0]
+	b.acts = b.acts[:0]
+	b.lastWriteGlobal = unset(b.lastWriteGlobal, len(art.Prog.Globals))
+	b.lastInst = unset(b.lastInst, art.Info.Prog.NumStmts+1)
+	b.pendingDeps = b.pendingDeps[:0]
+	b.saved = b.saved[:0]
+	b.callSaves = b.callSaves[:0]
+	b.resuming = false
+	clear(b.argVarsCache)
+}
+
+// unset returns s resized to n entries, all -1.
+func unset(s []NodeID, n int) []NodeID {
+	if cap(s) < n {
+		s = make([]NodeID, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = -1
+	}
+	return s
+}
+
+// graph hands the finished nodes and edges to a new Graph, each kind in
+// one exact-size array, and indexes the edges by target and by source.
+func (b *gbuilder) graph(rootFn string) *Graph {
+	nodes := make([]Node, len(b.nodes))
+	copy(nodes, b.nodes)
+	edges := make([]Edge, len(b.edges))
+	copy(edges, b.edges)
+	g := &Graph{
+		Art:   b.art,
+		Fn:    rootFn,
+		Nodes: make([]*Node, len(nodes)),
+		Edges: make([]*Edge, len(edges)),
+	}
+	for i := range nodes {
+		g.Nodes[i] = &nodes[i]
+	}
+	for i := range edges {
+		g.Edges[i] = &edges[i]
+	}
+	n, m := len(nodes), len(edges)
+	at := make([]int, 2*(n+1))
+	g.inAt, g.outAt = at[:n+1], at[n+1:]
+	for i := range edges {
+		g.inAt[edges[i].To+1]++
+		g.outAt[edges[i].From+1]++
+	}
+	for i := 1; i <= n; i++ {
+		g.inAt[i] += g.inAt[i-1]
+		g.outAt[i] += g.outAt[i-1]
+	}
+	ends := make([]*Edge, 2*m)
+	g.in, g.out = ends[:m], ends[m:]
+	for _, e := range g.Edges {
+		g.in[g.inAt[e.To]] = e
+		g.inAt[e.To]++
+		g.out[g.outAt[e.From]] = e
+		g.outAt[e.From]++
+	}
+	// Filling advanced each node's start to the next node's: shift back.
+	copy(g.inAt[1:], g.inAt[:n])
+	copy(g.outAt[1:], g.outAt[:n])
+	g.inAt[0], g.outAt[0] = 0, 0
+	return g
+}
+
+// newNode appends a node and returns its ID.
+func (b *gbuilder) newNode(kind NodeKind, stmt ast.StmtID, label string, v int) NodeID {
+	id := NodeID(len(b.nodes))
+	b.nodes = append(b.nodes, Node{ID: id, Kind: kind, Stmt: stmt, Label: label, Var: v, Seq: int(id)})
+	if stmt != ast.NoStmt {
+		b.prevInst, b.lastInst[stmt] = b.lastInst[stmt], id
+	}
+	return id
+}
+
+func (b *gbuilder) addEdge(kind EdgeKind, from, to NodeID, v int) {
+	b.edges = append(b.edges, Edge{Kind: kind, From: from, To: to, Var: v})
+}
+
+// pushAct enters an activation of fnName, reusing the lastWrite slice an
+// earlier activation at this depth left behind.
+func (b *gbuilder) pushAct(fnName string, numSlots int, callNode NodeID) *activation {
+	n := len(b.acts)
+	if n < cap(b.acts) {
+		b.acts = b.acts[:n+1]
+	} else {
+		b.acts = append(b.acts, activation{})
+	}
+	a := &b.acts[n]
+	a.fnName, a.fpdg, a.numSlots, a.callNode = fnName, b.art.PDG.Funcs[fnName], numSlots, callNode
+	a.lastWrite = unset(a.lastWrite, numSlots)
+	return a
 }
 
 // defNodeFor returns (creating on demand) the node that defined var v as
@@ -297,25 +404,21 @@ func (b *gbuilder) defNodeFor(v int) NodeID {
 	act := b.top()
 	if v >= act.numSlots { // global
 		gid := v - act.numSlots
-		if n, ok := b.lastWriteGlobal[gid]; ok {
+		if n := b.lastWriteGlobal[gid]; n >= 0 {
 			return n
 		}
-		name := b.art.Prog.Globals[gid].Name
-		n := b.g.newNode(&Node{
-			Kind: NodeInitial, Label: name + "@pre", Var: v,
-		})
-		b.lastWriteGlobal[gid] = n.ID
-		return n.ID
+		n := b.newNode(NodeInitial, ast.NoStmt, b.art.Prog.Globals[gid].Name+"@pre", v)
+		b.lastWriteGlobal[gid] = n
+		return n
 	}
-	if n, ok := act.lastWrite[v]; ok {
+	if n := act.lastWrite[v]; n >= 0 {
 		return n
 	}
 	// A local read before any traced write: a parameter (bound at entry)
 	// or prelog-restored loop local.
-	label := fmt.Sprintf("%s@pre", b.localName(act, v))
-	n := b.g.newNode(&Node{Kind: NodeInitial, Label: label, Var: v})
-	act.lastWrite[v] = n.ID
-	return n.ID
+	n := b.newNode(NodeInitial, ast.NoStmt, b.localName(act, v)+"@pre", v)
+	act.lastWrite[v] = n
+	return n
 }
 
 func (b *gbuilder) localName(act *activation, slot int) string {
@@ -323,7 +426,7 @@ func (b *gbuilder) localName(act *activation, slot int) string {
 	if fi != nil && slot < len(fi.Locals) {
 		return fi.Locals[slot].Name
 	}
-	return fmt.Sprintf("slot%d", slot)
+	return "slot" + strconv.Itoa(slot)
 }
 
 func (b *gbuilder) varName(act *activation, v int) string {
@@ -336,33 +439,57 @@ func (b *gbuilder) varName(act *activation, v int) string {
 	return b.localName(act, v)
 }
 
+// stmtLabel is a statement's one-line text, as the program database
+// rendered it; fallback labels statements the database does not know.
+func (b *gbuilder) stmtLabel(id ast.StmtID, fallback string) string {
+	if b.art.DB != nil {
+		if si := b.art.DB.Stmt(id); si != nil {
+			return si.Text
+		}
+	}
+	if st := b.art.Info.Prog.StmtByID(id); st != nil {
+		return ast.StmtString(st)
+	}
+	return fallback
+}
+
+// paramLabels are the labels of the first parameter nodes, %1 onward.
+var paramLabels = [...]string{"%1", "%2", "%3", "%4", "%5", "%6", "%7", "%8", "%9"}
+
+func paramLabel(i int) string {
+	if i < len(paramLabels) {
+		return paramLabels[i]
+	}
+	return "%" + strconv.Itoa(i+1)
+}
+
 // openStmt starts a node for a new statement instance, first flushing any
 // reads still pending on the previous one (statements without writes or
 // predicate outcomes — returns, prints, sends — keep their reads this way).
-func (b *gbuilder) openStmt(kind NodeKind, stmt ast.StmtID, label string) *Node {
+func (b *gbuilder) openStmt(kind NodeKind, stmt ast.StmtID, label string) {
 	if b.curStmtNode >= 0 && len(b.pendingDeps) > 0 {
 		b.flushDeps(b.curStmtNode)
 	}
-	n := b.g.newNode(&Node{Kind: kind, Stmt: stmt, Label: label, Var: -1})
-	b.g.addEdge(EdgeFlow, b.prevNode, n.ID, -1)
-	b.prevNode = n.ID
-	b.curStmtNode = n.ID
+	n := b.newNode(kind, stmt, label, -1)
+	b.addEdge(EdgeFlow, b.prevNode, n, -1)
+	b.prevNode = n
+	b.curStmtNode = n
 	b.attachControl(n)
-	return n
 }
 
 // attachControl adds the control-dependence edge from the most recent
-// instance of the statement's static controlling predicate.
-func (b *gbuilder) attachControl(n *Node) {
-	if n.Stmt == ast.NoStmt {
+// instance of the statement's static controlling predicate. n must be the
+// newest node; it is never its own controlling instance.
+func (b *gbuilder) attachControl(n NodeID) {
+	stmt := b.nodes[n].Stmt
+	if stmt == ast.NoStmt {
 		return
 	}
-	act := b.top()
-	fpdg := b.art.PDG.Funcs[act.fnName]
+	fpdg := b.top().fpdg
 	if fpdg == nil {
 		return
 	}
-	cfgNode := fpdg.CFG.NodeFor(n.Stmt)
+	cfgNode := fpdg.CFG.NodeFor(stmt)
 	if cfgNode < 0 {
 		return
 	}
@@ -371,13 +498,12 @@ func (b *gbuilder) attachControl(n *Node) {
 		if depStmt == nil {
 			continue
 		}
-		// Find the most recent instance of that predicate in this graph.
-		for i := len(b.g.Nodes) - 1; i >= 0; i-- {
-			cand := b.g.Nodes[i]
-			if cand.Stmt == depStmt.ID() && cand.ID != n.ID {
-				b.g.addEdge(EdgeControl, cand.ID, n.ID, -1)
-				break
-			}
+		cand := b.lastInst[depStmt.ID()]
+		if cand == n {
+			cand = b.prevInst
+		}
+		if cand >= 0 {
+			b.addEdge(EdgeControl, cand, n, -1)
 		}
 	}
 }
@@ -386,21 +512,17 @@ func (b *gbuilder) event(e *trace.Event) {
 	act := b.top()
 	switch e.Kind {
 	case trace.EvStmt:
-		if r := b.resume; r != nil {
-			b.resume = nil
-			if r.stmtNode >= 0 && b.g.Nodes[r.stmtNode].Stmt == e.Stmt {
+		if b.resuming {
+			b.resuming = false
+			if r := b.resume; r.stmtNode >= 0 && b.nodes[r.stmtNode].Stmt == e.Stmt {
 				// Continuation of the statement instance that contained the
 				// just-returned call: keep its node and restored reads.
 				b.curStmtNode = r.stmtNode
-				b.pendingDeps = r.pending
+				b.pendingDeps = append(b.pendingDeps[:0], r.pending...)
 				return
 			}
 		}
-		label := "s?"
-		if st := b.art.Info.Prog.StmtByID(e.Stmt); st != nil {
-			label = ast.StmtString(st)
-		}
-		b.openStmt(NodeSingular, e.Stmt, label)
+		b.openStmt(NodeSingular, e.Stmt, b.stmtLabel(e.Stmt, "s?"))
 		b.pendingDeps = b.pendingDeps[:0]
 
 	case trace.EvRead:
@@ -413,7 +535,7 @@ func (b *gbuilder) event(e *trace.Event) {
 		if b.curStmtNode < 0 {
 			return
 		}
-		n := b.g.Nodes[b.curStmtNode]
+		n := &b.nodes[b.curStmtNode]
 		if n.Kind == NodeSubGraph {
 			// A substituted interval's postlog values: the sub-graph node
 			// becomes the definition site of everything it wrote.
@@ -439,41 +561,34 @@ func (b *gbuilder) event(e *trace.Event) {
 		if b.curStmtNode < 0 {
 			return
 		}
-		n := b.g.Nodes[b.curStmtNode]
+		n := &b.nodes[b.curStmtNode]
 		n.Value = e.Value
 		n.HasValue = true
 		b.flushDeps(n.ID)
 
 	case trace.EvCallBegin:
 		callee := b.art.Prog.Funcs[e.FuncIdx]
-		sub := b.g.newNode(&Node{
-			Kind: NodeSubGraph, Stmt: e.Stmt, Label: callee.Name, Var: -1,
-		})
-		b.g.addEdge(EdgeFlow, b.prevNode, sub.ID, -1)
-		b.prevNode = sub.ID
-		b.attachControl(b.g.Nodes[sub.ID])
-		newAct := &activation{
-			fnIdx:     e.FuncIdx,
-			fnName:    callee.Name,
-			numSlots:  callee.NumSlots,
-			lastWrite: make(map[int]NodeID),
-			callNode:  sub.ID,
-		}
-		remaining := b.bindParams(e, sub, func(i int, pn NodeID) {
-			if i < len(callee.ParamSlots) {
-				newAct.lastWrite[callee.ParamSlots[i]] = pn
-			}
-		})
+		sub := b.newNode(NodeSubGraph, e.Stmt, callee.Name, -1)
+		b.addEdge(EdgeFlow, b.prevNode, sub, -1)
+		b.prevNode = sub
+		b.attachControl(sub)
+		remaining := b.bindParams(e, act.fnName, sub)
 		b.callSaves = append(b.callSaves, callSave{stmtNode: b.curStmtNode, pending: remaining})
 		b.pendingDeps = b.pendingDeps[:0]
-		b.acts = append(b.acts, newAct)
+		newAct := b.pushAct(callee.Name, callee.NumSlots, sub)
+		// bindParams created %i+1 as node sub+1+i.
+		for i := range e.Args {
+			if i < len(callee.ParamSlots) {
+				newAct.lastWrite[callee.ParamSlots[i]] = sub + 1 + NodeID(i)
+			}
+		}
 		b.curStmtNode = -1
 
 	case trace.EvCallEnd:
-		finished := b.acts[len(b.acts)-1]
+		finished := b.acts[len(b.acts)-1].callNode
 		b.acts = b.acts[:len(b.acts)-1]
-		if finished.callNode >= 0 {
-			sub := b.g.Nodes[finished.callNode]
+		if finished >= 0 {
+			sub := &b.nodes[finished]
 			if e.HasValue {
 				sub.Value = e.Value
 				sub.HasValue = true
@@ -486,11 +601,11 @@ func (b *gbuilder) event(e *trace.Event) {
 				save = b.callSaves[n-1]
 				b.callSaves = b.callSaves[:n-1]
 			}
-			save.pending = save.pending.add(sub.ID, -1)
-			b.resume = &save
+			save.pending = save.pending.add(finished, -1)
+			b.resume, b.resuming = save, true
 			b.curStmtNode = -1
-			b.pendingDeps = append(b.pendingDeps[:0], dep{node: sub.ID, v: -1})
-			b.prevNode = sub.ID
+			b.pendingDeps = append(b.pendingDeps[:0], dep{node: finished, v: -1})
+			b.prevNode = finished
 		}
 
 	case trace.EvCallSkipped:
@@ -498,26 +613,20 @@ func (b *gbuilder) event(e *trace.Event) {
 		if e.FuncIdx >= 0 {
 			label = b.art.Prog.Funcs[e.FuncIdx].Name
 		}
-		sub := b.g.newNode(&Node{
-			Kind: NodeSubGraph, Stmt: e.Stmt, Label: label,
-			Value: e.Value, HasValue: e.HasValue, Var: -1,
-		})
-		b.g.addEdge(EdgeFlow, b.prevNode, sub.ID, -1)
-		b.prevNode = sub.ID
-		b.attachControl(b.g.Nodes[sub.ID])
-		remaining := b.bindParams(e, sub, nil).add(sub.ID, -1)
-		b.resume = &callSave{stmtNode: b.curStmtNode, pending: remaining}
-		b.pendingDeps = append(b.pendingDeps[:0], dep{node: sub.ID, v: -1})
+		sub := b.newNode(NodeSubGraph, e.Stmt, label, -1)
+		b.nodes[sub].Value, b.nodes[sub].HasValue = e.Value, e.HasValue
+		b.addEdge(EdgeFlow, b.prevNode, sub, -1)
+		b.prevNode = sub
+		b.attachControl(sub)
+		remaining := b.bindParams(e, act.fnName, sub).add(sub, -1)
+		b.resume, b.resuming = callSave{stmtNode: b.curStmtNode, pending: remaining}, true
+		b.pendingDeps = append(b.pendingDeps[:0], dep{node: sub, v: -1})
 		// The substituted postlog's EvWrite events follow; route them
 		// through the sub-graph node by making it current.
-		b.curStmtNode = sub.ID
+		b.curStmtNode = sub
 
 	case trace.EvSync:
 		st := b.art.Info.Prog.StmtByID(e.Stmt)
-		stLabel := e.Op.String()
-		if st != nil {
-			stLabel = ast.StmtString(st)
-		}
 		// Pure synchronization statements (P, V, send, spawn) become a
 		// single sync node: convert the statement's open singular node
 		// rather than adding a second one.
@@ -526,22 +635,21 @@ func (b *gbuilder) event(e *trace.Event) {
 		case *ast.SemStmt, *ast.SendStmt, *ast.SpawnStmt:
 			pureSync = true
 		}
-		if pureSync && b.curStmtNode >= 0 && b.g.Nodes[b.curStmtNode].Stmt == e.Stmt {
-			n := b.g.Nodes[b.curStmtNode]
-			n.Kind = NodeSync
-			b.flushDeps(n.ID) // send values / spawn arguments feed the event
+		if pureSync && b.curStmtNode >= 0 && b.nodes[b.curStmtNode].Stmt == e.Stmt {
+			b.nodes[b.curStmtNode].Kind = NodeSync
+			b.flushDeps(b.curStmtNode) // send values / spawn arguments feed the event
 			b.curStmtNode = -1
 			return
 		}
-		n := b.g.newNode(&Node{Kind: NodeSync, Stmt: e.Stmt, Label: stLabel, Var: -1})
-		b.g.addEdge(EdgeFlow, b.prevNode, n.ID, -1)
-		b.prevNode = n.ID
-		b.attachControl(b.g.Nodes[n.ID])
+		n := b.newNode(NodeSync, e.Stmt, b.stmtLabel(e.Stmt, e.Op.String()), -1)
+		b.addEdge(EdgeFlow, b.prevNode, n, -1)
+		b.prevNode = n
+		b.attachControl(n)
 		if e.Op == logging.OpRecv {
 			// The received value flows into whatever consumes it; the
 			// enclosing statement (var v = recv(c)) stays current so its
 			// store lands on its own node.
-			b.pendingDeps = b.pendingDeps.add(n.ID, -1)
+			b.pendingDeps = b.pendingDeps.add(n, -1)
 		}
 
 	case trace.EvEnd:
@@ -554,7 +662,7 @@ func (b *gbuilder) flushDeps(to NodeID) {
 		if d.node == to {
 			continue
 		}
-		b.g.addEdge(EdgeData, d.node, to, d.v)
+		b.addEdge(EdgeData, d.node, to, d.v)
 	}
 	b.pendingDeps = b.pendingDeps[:0]
 }
@@ -573,7 +681,7 @@ func (g *Graph) String() string {
 			fmt.Fprintf(&sb, "=%d", n.Value)
 		}
 		var deps []string
-		for _, e := range g.incoming[n.ID] {
+		for _, e := range g.Incoming(n.ID) {
 			if e.Kind == EdgeFlow {
 				continue
 			}
@@ -587,20 +695,18 @@ func (g *Graph) String() string {
 	return sb.String()
 }
 
-// bindParams creates the %1..%n parameter nodes of a call, attaching to
-// each the pending reads that statically belong to that argument's
-// expression (Fig 4.1's fictional nodes for expression arguments). It
-// returns, as a new set, the pending reads no argument consumed, and
-// invokes bound for each created node so callees can map them to
-// parameter slots.
-func (b *gbuilder) bindParams(e *trace.Event, sub *Node, bound func(i int, pn NodeID)) depSet {
-	argVars := b.argVars(b.top().fnName, e.Stmt, e.FuncIdx)
-	consumed := make([]bool, len(b.pendingDeps))
+// bindParams creates the %1..%n parameter nodes of a call made from
+// callerFn, as nodes sub+1..sub+n, attaching to each the pending reads
+// that statically belong to that argument's expression (Fig 4.1's
+// fictional nodes for expression arguments). It returns, as a new set,
+// the pending reads no argument consumed.
+func (b *gbuilder) bindParams(e *trace.Event, callerFn string, sub NodeID) depSet {
+	argVars := b.argVars(callerFn, e.Stmt, e.FuncIdx)
+	b.consumed = append(b.consumed[:0], make([]bool, len(b.pendingDeps))...)
+	consumed := b.consumed
 	for i, argv := range e.Args {
-		pn := b.g.newNode(&Node{
-			Kind: NodeParam, Stmt: e.Stmt,
-			Label: fmt.Sprintf("%%%d", i+1), Value: argv, HasValue: true, Var: -1,
-		})
+		pn := b.newNode(NodeParam, e.Stmt, paramLabel(i), -1)
+		b.nodes[pn].Value, b.nodes[pn].HasValue = argv, true
 		for k, d := range b.pendingDeps {
 			v := d.v
 			attach := false
@@ -620,22 +726,22 @@ func (b *gbuilder) bindParams(e *trace.Event, sub *Node, bound func(i int, pn No
 				attach = true // no static info: attach conservatively
 			}
 			if attach {
-				b.g.addEdge(EdgeData, d.node, pn.ID, v)
+				b.addEdge(EdgeData, d.node, pn, v)
 				consumed[k] = true
 			}
 		}
-		b.g.addEdge(EdgeData, pn.ID, sub.ID, -1)
-		if bound != nil {
-			bound(i, pn.ID)
-		}
+		b.addEdge(EdgeData, pn, sub, -1)
 	}
-	var remaining depSet
+	start := len(b.saved)
 	for k, d := range b.pendingDeps {
 		if !consumed[k] {
-			remaining = append(remaining, d)
+			b.saved = append(b.saved, d)
 		}
 	}
-	return remaining
+	// One spare slot takes the call's result when the call returns.
+	b.saved = append(b.saved, dep{})
+	end := len(b.saved) - 1
+	return b.saved[start:end:len(b.saved)]
 }
 
 // argVars resolves, per argument position, the variable space indices the

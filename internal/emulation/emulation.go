@@ -137,17 +137,6 @@ func (e *Emulator) PrelogIndices(blockID int) []int {
 	return out
 }
 
-// LastPrelog returns the record index of the final prelog in the book, or
-// -1 for an empty book.
-func (e *Emulator) LastPrelog() int {
-	for i := len(e.Book.Records) - 1; i >= 0; i-- {
-		if e.Book.Records[i].Kind == logging.RecPrelog {
-			return i
-		}
-	}
-	return -1
-}
-
 // FirstPrelog returns the record index of the process's outermost interval
 // (its entry function), or -1 for an empty book.
 func (e *Emulator) FirstPrelog() int {

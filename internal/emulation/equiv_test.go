@@ -3,6 +3,7 @@ package emulation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"ppd/internal/mplgen"
 	"ppd/internal/obs"
 	"ppd/internal/source"
+	"ppd/internal/trace"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
@@ -78,11 +80,16 @@ func errString(err error) string {
 
 // diffResults fails the test unless fast and oracle agree on every
 // observable of an emulation: the full trace, the end-of-interval globals,
-// the reproduced failure, the records consumed, and completion.
+// the reproduced failure, the steps executed, the records consumed, and
+// completion. Traces are compared event by event and rendered only when
+// they differ.
 func diffResults(t *testing.T, ctx string, fast, oracle *Result) {
 	t.Helper()
-	if got, want := fast.Trace.String(), oracle.Trace.String(); got != want {
-		t.Errorf("%s: trace diverges\nfast:\n%s\noracle:\n%s", ctx, got, want)
+	if !slices.EqualFunc(fast.Trace.Events, oracle.Trace.Events, sameEvent) {
+		t.Errorf("%s: trace diverges\nfast:\n%s\noracle:\n%s", ctx, fast.Trace, oracle.Trace)
+	}
+	if fast.Steps != oracle.Steps {
+		t.Errorf("%s: steps: fast %d, oracle %d", ctx, fast.Steps, oracle.Steps)
 	}
 	if got, want := fmt.Sprintf("%v", fast.Globals), fmt.Sprintf("%v", oracle.Globals); got != want {
 		t.Errorf("%s: globals diverge\nfast:   %s\noracle: %s", ctx, got, want)
@@ -96,6 +103,13 @@ func diffResults(t *testing.T, ctx string, fast, oracle *Result) {
 	if fast.Completed != oracle.Completed {
 		t.Errorf("%s: completed: fast %t, oracle %t", ctx, fast.Completed, oracle.Completed)
 	}
+}
+
+// sameEvent reports whether two trace events are equal in every field.
+func sameEvent(a, b trace.Event) bool {
+	return a.Kind == b.Kind && a.Stmt == b.Stmt && a.Var == b.Var && a.Idx == b.Idx &&
+		a.Value == b.Value && a.HasValue == b.HasValue && a.FuncIdx == b.FuncIdx &&
+		slices.Equal(a.Args, b.Args) && a.Op == b.Op && a.Obj == b.Obj
 }
 
 // diffOutcomes fails the test unless an untraced what-if replay and its
@@ -117,24 +131,26 @@ func diffOutcomes(t *testing.T, ctx string, fast, oracle *Result) {
 	}
 }
 
-// replayers holds one book's emulators for the differential checks: fast
-// (traced Emulate on its own recycled pool), fresh (untraced what-if
-// EmulateFresh on a one-context pool whose VM stops at maxSteps, 0 for
-// the VM's default budget), the Generic oracle of both, and freshOracle,
-// fresh's oracle: the Generic one under the default budget, else a
-// one-context pool whose VM runs the generic loop under the same budget.
+// replayers holds one book's emulators for the differential checks, each
+// replay stopping at maxSteps (0 for the VM's default budget): fast
+// (traced Emulate on a recycled pool), fresh (untraced what-if
+// EmulateFresh on a one-context pool), and oracle, the oracle of both:
+// the Generic emulator under the default budget, else a one-context pool
+// whose VM runs the generic loop under the same budget.
 type replayers struct {
-	fast, fresh, oracle, freshOracle *Emulator
-	pool                             *Pool // fresh's pool
+	fast, fresh, oracle *Emulator
+	pool                *Pool // fresh's pool
 }
 
 func newReplayers(prog *bytecode.Program, book *logging.Book, maxSteps int64) *replayers {
-	r := &replayers{fast: New(prog, book), oracle: New(prog, book)}
-	r.oracle.Generic = true
+	r := &replayers{}
 	r.fresh, r.pool = onePool(prog, book, vm.Options{Mode: vm.ModeEmulate, MaxSteps: maxSteps})
-	r.freshOracle = r.oracle
-	if maxSteps != 0 {
-		r.freshOracle, _ = onePool(prog, book, vm.Options{Mode: vm.ModeEmulate, EmuGeneric: true, MaxSteps: maxSteps})
+	if maxSteps == 0 {
+		r.fast, r.oracle = New(prog, book), New(prog, book)
+		r.oracle.Generic = true
+	} else {
+		r.fast, _ = onePool(prog, book, vm.Options{Mode: vm.ModeEmulate, MaxSteps: maxSteps})
+		r.oracle, _ = onePool(prog, book, vm.Options{Mode: vm.ModeEmulate, EmuGeneric: true, MaxSteps: maxSteps})
 	}
 	return r
 }
@@ -157,7 +173,7 @@ func (r *replayers) freshPair(t *testing.T, idx int) (fast, oracle *Result) {
 	if err != nil {
 		t.Fatalf("idx %d: EmulateFresh: %v", idx, err)
 	}
-	if oracle, err = r.freshOracle.EmulateFresh(idx, nil); err != nil {
+	if oracle, err = r.oracle.EmulateFresh(idx, nil); err != nil {
 		t.Fatalf("idx %d: oracle EmulateFresh: %v", idx, err)
 	}
 	return fast, oracle
@@ -279,15 +295,24 @@ func FuzzEmuEquivalence(f *testing.F) {
 		v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: seed, Quantum: quantum, MaxSteps: maxSteps})
 		_ = v.Run()
 		for pid, book := range v.Log.Books {
-			// A what-if replay ignores shared prelogs, so it may spin
-			// where the logged run did not: bound it like the run.
-			r := newReplayers(art.Prog, book, maxSteps)
+			// Each replay, both ways, stops at replayBudget: a what-if
+			// replay ignores shared prelogs, so it may spin where the
+			// logged run did not, and a long interval replayed whole
+			// costs the fuzzer thousands of inputs. A cut replay must
+			// end with ErrBudget at the same step on both sides.
+			r := newReplayers(art.Prog, book, replayBudget)
 			for _, idx := range prelogIdxs(book, 16) {
 				r.check(t, pid, idx)
 			}
 		}
 	})
 }
+
+// replayBudget bounds each of FuzzEmuEquivalence's replays, in
+// instructions. It is above the longest replay of any interval of the
+// generator's seed programs (about 15k), so it cuts only long intervals,
+// such as the standard workloads' whole-process ones.
+const replayBudget = 20_000
 
 // TestPoolReuseObservable proves the pool actually recycles contexts and
 // reports it: the second emulation on the same pool is a pool hit, the

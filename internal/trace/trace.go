@@ -82,7 +82,21 @@ type Buffer struct {
 }
 
 // Append adds an event.
-func (b *Buffer) Append(e Event) { b.Events = append(b.Events, e) }
+func (b *Buffer) Append(e Event) { *b.Next() = e }
+
+// Next appends a zero event and returns it, for the caller to fill in
+// place: the hot emitters write only the fields their event uses instead
+// of building a whole Event and copying it in.
+func (b *Buffer) Next() *Event {
+	n := len(b.Events)
+	if n < cap(b.Events) {
+		b.Events = b.Events[:n+1]
+		b.Events[n] = Event{}
+	} else {
+		b.Events = append(b.Events, Event{})
+	}
+	return &b.Events[n]
+}
 
 // Reset empties the buffer for reuse (keeping its capacity) and re-tags
 // the PID — the pooled replay context recycles one buffer per emulation.

@@ -99,7 +99,8 @@ func emuTraced(op bytecode.Op, h opFn) opFn {
 			c := d.stack[len(d.stack)-1]
 			h(d, in)
 			if d.sig != sigExit && in.B == 1 {
-				d.p.Tbuf.Append(trace.Event{Kind: trace.EvPred, Stmt: in.Stmt, Value: c})
+				e := d.p.Tbuf.Next()
+				e.Kind, e.Stmt, e.Value = trace.EvPred, in.Stmt, c
 			}
 		}
 	}
@@ -116,7 +117,8 @@ func (d *dispatch) emuAccess(kind trace.EventKind, in *bytecode.Instr, global bo
 	if global {
 		v += d.f.Fn.NumSlots
 	}
-	d.p.Tbuf.Append(trace.Event{Kind: kind, Stmt: in.Stmt, Var: v, Idx: idx, Value: val})
+	e := d.p.Tbuf.Next()
+	e.Kind, e.Stmt, e.Var, e.Idx, e.Value = kind, in.Stmt, v, idx, val
 }
 
 // runEmuTab is the table-driven counterpart of runEmuGeneric (the oracle

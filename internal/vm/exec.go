@@ -153,7 +153,8 @@ func (v *VM) tracing(p *Proc) bool {
 func (v *VM) emitStmtBoundary(p *Proc, in *bytecode.Instr) {
 	if in.Stmt != ast.NoStmt && in.Stmt != p.lastStmt {
 		p.lastStmt = in.Stmt
-		p.Tbuf.Append(trace.Event{Kind: trace.EvStmt, Stmt: in.Stmt})
+		e := p.Tbuf.Next()
+		e.Kind, e.Stmt = trace.EvStmt, in.Stmt
 	}
 }
 
