@@ -514,7 +514,12 @@ func Flowback(g *dynpdg.Graph, from dynpdg.NodeID, depth int) []*dynpdg.Node {
 // rooted at the node, the textual analogue of the paper's inverted-tree
 // display.
 func RenderFragment(g *dynpdg.Graph, root dynpdg.NodeID, depth int) string {
-	f := fragment{g: g, depth: depth, seen: make([]uint64, (len(g.Nodes)+63)/64), buf: make([]byte, 0, 512)}
+	f := fragment{
+		g:     g,
+		depth: depth,
+		seen:  make([]uint64, (len(g.Nodes)+63)/64),
+		buf:   make([]byte, 0, 512),
+	}
 	f.walk(root, 0, "")
 	return string(f.buf)
 }

@@ -18,19 +18,6 @@ import (
 	"ppd/internal/workloads"
 )
 
-// graphGoldenWorkloads are the programs TestGraphGolden pins: the
-// standard shapes at test size plus the racy counter.
-func graphGoldenWorkloads() []*workloads.Workload {
-	return []*workloads.Workload{
-		workloads.Matmul(4),
-		workloads.ProdCons(20),
-		workloads.TokenRing(3, 4),
-		workloads.Divide(5),
-		workloads.Histo(4),
-		workloads.RacyCounter(3, 4, false),
-	}
-}
-
 // graphGolden holds, per workload and scheduling quantum, the hash of
 // every interval's dynamic graph and fragment as graphHash writes them.
 var graphGolden = map[string]string{
@@ -63,7 +50,14 @@ var graphGolden = map[string]string{
 // rewrite of the builder or the renderer that changes any label, value,
 // edge or edge order fails here.
 func TestGraphGolden(t *testing.T) {
-	for _, wl := range graphGoldenWorkloads() {
+	for _, wl := range []*workloads.Workload{
+		workloads.Matmul(4),
+		workloads.ProdCons(20),
+		workloads.TokenRing(3, 4),
+		workloads.Divide(5),
+		workloads.Histo(4),
+		workloads.RacyCounter(3, 4, false),
+	} {
 		art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", wl.Name, err)
