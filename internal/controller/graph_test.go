@@ -12,13 +12,14 @@ import (
 	"ppd/internal/compile"
 	"ppd/internal/dynpdg"
 	"ppd/internal/eblock"
+	"ppd/internal/mplgen"
 	"ppd/internal/source"
 	"ppd/internal/trace"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
 
-// graphGolden holds, per workload and scheduling quantum, the hash of
+// graphGolden holds, per program set and scheduling quantum, the hash of
 // every interval's dynamic graph and fragment as graphHash writes them.
 var graphGolden = map[string]string{
 	"matmul/q1":       "0359fd4a15888b284e8b3e6a2175129c",
@@ -39,17 +40,33 @@ var graphGolden = map[string]string{
 	"racy-counter/q1": "945cd44312e44fed9957eae475fefcd1",
 	"racy-counter/q3": "af8cf11b3b6b20bffb7f6820e8c6d539",
 	"racy-counter/q7": "402a15071ea9f2ffb2870c42808c5b15",
+	"gen-default/q1":  "6a53d9fdae727002b462c4bf2c71fb5e",
+	"gen-default/q3":  "6a53d9fdae727002b462c4bf2c71fb5e",
+	"gen-default/q7":  "6a53d9fdae727002b462c4bf2c71fb5e",
+	"gen-racy/q1":     "69854fb2985e0bc4f18734459a164ca1",
+	"gen-racy/q3":     "6dc9b805bdeb056753b2edb394993bcd",
+	"gen-racy/q7":     "fda2d89f54a44ba6f26b29e29594a9d3",
+	"gen-parallel/q1": "5464e014c6c8af2c8083fb23af4258c7",
+	"gen-parallel/q3": "df1e4accaecc205bb0f7c19283eb88f6",
+	"gen-parallel/q7": "c1cead78727b3528c472d75868dee558",
 }
 
 // TestGraphGolden pins the meaning of the dynamic graphs flowback builds,
 // byte for byte: for every interval of every process, the graph's String,
 // each node and edge value in order, and the fragment rendered from its
-// last node at depth 6 are hashed, and the hash per workload and quantum
-// must equal the checked-in one. TestGraphEdgeOrderDeterministic compares
-// two builds of one code path; this compares against a fixed answer, so a
-// rewrite of the builder or the renderer that changes any label, value,
-// edge or edge order fails here.
+// last node at depth 6 are hashed, and the hash per program set and
+// quantum must equal the checked-in one. The sets are the standard shapes
+// at test size, the racy counter, and 30 programs of each generator
+// configuration. TestGraphEdgeOrderDeterministic compares two builds of
+// one code path; this compares against a fixed answer, so a rewrite of
+// the builder or the renderer that changes any label, value, edge or edge
+// order fails here.
 func TestGraphGolden(t *testing.T) {
+	type programs struct {
+		name string
+		srcs []string
+	}
+	var sets []programs
 	for _, wl := range []*workloads.Workload{
 		workloads.Matmul(4),
 		workloads.ProdCons(20),
@@ -58,28 +75,45 @@ func TestGraphGolden(t *testing.T) {
 		workloads.Histo(4),
 		workloads.RacyCounter(3, 4, false),
 	} {
-		art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{Config: eblock.DefaultConfig()})
-		if err != nil {
-			t.Fatalf("%s: compile: %v", wl.Name, err)
+		sets = append(sets, programs{wl.Name, []string{wl.Src}})
+	}
+	for _, gen := range []struct {
+		name string
+		cfg  mplgen.Config
+	}{
+		{"gen-default", mplgen.DefaultConfig()},
+		{"gen-racy", mplgen.RacyConfig()},
+		{"gen-parallel", mplgen.ParallelConfig()},
+	} {
+		set := programs{name: gen.name}
+		for seed := int64(0); seed < 30; seed++ {
+			set.srcs = append(set.srcs, mplgen.Generate(seed, gen.cfg))
 		}
+		sets = append(sets, set)
+	}
+	for _, set := range sets {
 		for _, q := range []int{1, 3, 7} {
-			key := fmt.Sprintf("%s/q%d", wl.Name, q)
-			v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: q, Seed: 1})
-			if err := v.Run(); err != nil {
-				t.Fatalf("%s: run: %v", key, err)
-			}
-			c := fromRun(art, v, Config{})
+			key := fmt.Sprintf("%s/q%d", set.name, q)
 			h := sha256.New()
 			graphs := 0
-			for pid := 0; pid < c.NumProcs(); pid++ {
-				for _, idx := range prelogs(c, pid) {
-					g, err := c.Graph(pid, idx)
-					if err != nil {
-						t.Fatalf("%s pid %d interval %d: %v", key, pid, idx, err)
+			for _, src := range set.srcs {
+				art, err := compile.Compile(source.NewFile(set.name, src), compile.Opts{Config: eblock.DefaultConfig()})
+				if err != nil {
+					t.Fatalf("%s: compile: %v", key, err)
+				}
+				v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: q, Seed: 1})
+				_ = v.Run() // a failed run's intervals are graphs too
+				c := fromRun(art, v, Config{})
+				for pid := 0; pid < c.NumProcs(); pid++ {
+					for _, idx := range prelogs(c, pid) {
+						g, err := c.Graph(pid, idx)
+						if err != nil {
+							t.Fatalf("%s pid %d interval %d: %v", key, pid, idx, err)
+						}
+						fmt.Fprintf(h, "pid %d interval %d\n", pid, idx)
+						graphHash(h, g)
+						graphs++
 					}
-					fmt.Fprintf(h, "pid %d interval %d\n", pid, idx)
-					graphHash(h, g)
-					graphs++
 				}
 			}
 			got := hex.EncodeToString(h.Sum(nil))[:32]
