@@ -100,13 +100,16 @@ perfbench-smoke:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Short fuzz runs of the two table-dispatch oracles: generated programs must
-# emulate identically through the emulation tables and the generic loop
-# (traced and untraced), and run identically fused and unfused. `go test`
-# alone runs only their checked-in seeds.
+# Short fuzz runs of the two table-dispatch oracles and the race detector's:
+# generated programs must emulate identically through the emulation tables
+# and the generic loop (traced and untraced), and run identically fused and
+# unfused; every batching of a record stream must give the online race
+# detector Naive's report. `go test` alone runs only their checked-in seeds.
+# Minimizing a new input is capped at 1 s so it cannot eat the 10 s budget.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzEmuEquivalence$$' -fuzztime 10s ./internal/emulation/
-	$(GO) test -run '^$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime 10s ./internal/vm/
+	$(GO) test -run '^$$' -fuzz '^FuzzEmuEquivalence$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/emulation/
+	$(GO) test -run '^$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/vm/
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamBatches$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
 	@echo "fuzz-smoke: OK"
 
 # One iteration of every benchmark: catches benchmarks that fail or rot

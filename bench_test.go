@@ -8,10 +8,8 @@ package ppd
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"ppd/internal/bitset"
 	"ppd/internal/compile"
 	"ppd/internal/controller"
 	"ppd/internal/eblock"
@@ -168,27 +166,12 @@ func benchRaceDetector(b *testing.B, detect func(*parallel.Graph) []*race.Race) 
 
 func BenchmarkRaceNaive(b *testing.B) { benchRaceDetector(b, race.Naive) }
 
-// BenchmarkRaceIndexed is Detect on one worker: the per-variable bucket
-// scan without fan-out.
+// BenchmarkRaceIndexed is Detect: the happens-before frontier over the
+// per-variable index of unretired edges.
 func BenchmarkRaceIndexed(b *testing.B) {
 	benchRaceDetector(b, func(g *parallel.Graph) []*race.Race {
-		return race.Detect(g, race.Opts{Workers: 1})
+		return race.Detect(g, race.Opts{})
 	})
-}
-
-// BenchmarkRaceParallel is E13's detector half: Detect's per-variable
-// buckets sharded across a worker pool. Compare against BenchmarkRaceIndexed
-// (one worker) at each worker count; on a multi-core machine w>=4 should
-// beat it on workloads.Sharded(8, 80), and the output race set is
-// golden-identical (TestDetectorsEquivalence).
-func BenchmarkRaceParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchRaceDetector(b, func(g *parallel.Graph) []*race.Race {
-				return race.Detect(g, race.Opts{Workers: workers})
-			})
-		})
-	}
 }
 
 // --- E13: memoized emulation — the Controller's interval cache -------------
@@ -219,43 +202,6 @@ func BenchmarkEmulateCached(b *testing.B) {
 	if c.Emulations() != before {
 		b.Fatalf("cached benchmark re-emulated: %d -> %d", before, c.Emulations())
 	}
-}
-
-// --- E9: bit-mask vs. list set representation -------------------------------
-
-func BenchmarkBitsetVsListSets(b *testing.B) {
-	const universe = 512
-	rng := rand.New(rand.NewSource(1))
-	elems := make([]int, 96)
-	for i := range elems {
-		elems[i] = rng.Intn(universe)
-	}
-	bs1 := bitset.FromSlice(universe, elems[:48])
-	bs2 := bitset.FromSlice(universe, elems[48:])
-	ls1 := bitset.ListFromSlice(elems[:48])
-	ls2 := bitset.ListFromSlice(elems[48:])
-	b.Run("bitset-intersects", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = bs1.Intersects(bs2)
-		}
-	})
-	b.Run("list-intersects", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = ls1.Intersects(ls2)
-		}
-	})
-	b.Run("bitset-union", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			z := bs1.Clone()
-			z.UnionWith(bs2)
-		}
-	})
-	b.Run("list-union", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			z := ls1.Clone()
-			z.UnionWith(ls2)
-		}
-	})
 }
 
 // --- E10: state restoration ---------------------------------------------------
@@ -320,7 +266,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	g := parallel.Build(rv.Log, len(rart.Prog.Globals))
 	b.Run("race/obs=off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if rs := race.Detect(g, race.Opts{Workers: 4}); len(rs) != 0 {
+			if rs := race.Detect(g, race.Opts{}); len(rs) != 0 {
 				b.Fatal("sharded workload should be race-free")
 			}
 		}
@@ -328,7 +274,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("race/obs=on", func(b *testing.B) {
 		sink := obs.New()
 		for i := 0; i < b.N; i++ {
-			if rs := race.Detect(g, race.Opts{Workers: 4, Sink: sink}); len(rs) != 0 {
+			if rs := race.Detect(g, race.Opts{Sink: sink}); len(rs) != 0 {
 				b.Fatal("sharded workload should be race-free")
 			}
 		}

@@ -52,7 +52,7 @@ func main() { spawn p1(); spawn p2(); P(done); P(done); print(SV); }`)
 		t.Fatalf("two writers must be a race candidate; got %v", codes(res))
 	}
 	m := res.Conflicts
-	if !m.MayConflict(0) {
+	if !m.Mask().Has(0) {
 		t.Fatalf("SV (gid 0) must be in the conflict mask: %s", m)
 	}
 	if m.Mask().Count() != 1 {

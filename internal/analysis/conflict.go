@@ -70,11 +70,6 @@ func (m *ConflictMatrix) NumCandidates() int {
 	return m.mask.Count()
 }
 
-// MayConflict reports whether gid has any static conflict.
-func (m *ConflictMatrix) MayConflict(gid int) bool {
-	return m != nil && m.mask.Has(gid)
-}
-
 // String renders the matrix for dumps: one line per class, one per pair.
 func (m *ConflictMatrix) String() string {
 	if m == nil {

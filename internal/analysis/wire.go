@@ -7,7 +7,7 @@ import "ppd/internal/bitset"
 // reaching into this package's unexported representation. FromWire rebuilds
 // the matrix — including the detector mask, which is by construction the
 // union of every pair's variable set — so a decoded matrix answers Mask /
-// NumCandidates / MayConflict / String identically to the original.
+// NumCandidates / String identically to the original.
 
 // ConflictWire is the serializable shape of a ConflictMatrix.
 type ConflictWire struct {

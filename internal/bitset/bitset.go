@@ -3,8 +3,8 @@
 // The paper's conclusion singles out set representation as a practical
 // concern: "using bit-mask representations for sets of variables (as opposed
 // to a list structure) can have a large payoff". Set is that bit-mask
-// representation; ListSet (in listset.go) is the sorted-list baseline kept
-// only so the payoff can be benchmarked (experiment E9).
+// representation; the sorted-list baseline (ListSet, in listset_test.go)
+// lives with the benchmarks that measure the payoff (experiment E9).
 package bitset
 
 import (

@@ -273,3 +273,40 @@ func TestIntersection(t *testing.T) {
 		t.Errorf("mixed-universe elems = %v, want [64 65]", got)
 	}
 }
+
+// BenchmarkBitsetVsListSets is E9: intersection and clone+union of two
+// 48-element sets over a 512-variable universe, bitset vs. list.
+func BenchmarkBitsetVsListSets(b *testing.B) {
+	const universe = 512
+	rng := rand.New(rand.NewSource(1))
+	elems := make([]int, 96)
+	for i := range elems {
+		elems[i] = rng.Intn(universe)
+	}
+	bs1 := FromSlice(universe, elems[:48])
+	bs2 := FromSlice(universe, elems[48:])
+	ls1 := ListFromSlice(elems[:48])
+	ls2 := ListFromSlice(elems[48:])
+	b.Run("bitset-intersects", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = bs1.Intersects(bs2)
+		}
+	})
+	b.Run("list-intersects", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = ls1.Intersects(ls2)
+		}
+	})
+	b.Run("bitset-union", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			z := bs1.Clone()
+			z.UnionWith(bs2)
+		}
+	})
+	b.Run("list-union", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			z := ls1.Clone()
+			z.UnionWith(ls2)
+		}
+	})
+}

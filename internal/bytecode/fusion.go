@@ -165,17 +165,6 @@ func DefaultFusionTable() *FusionTable {
 	return &FusionTable{Patterns: defaultFusionPatterns}
 }
 
-// AllPatterns returns a table with every candidate shape enabled — what
-// the profiler compiles with, so measured hit counts do not depend on the
-// previously checked-in table (the generation is a one-step fixed point).
-func AllPatterns() *FusionTable {
-	pats := make([]FusionPattern, 0, NumSuperOps-1)
-	for op := SuperNone + 1; op < NumSuperOps; op++ {
-		pats = append(pats, FusionPattern{Op: op})
-	}
-	return &FusionTable{Patterns: pats}
-}
-
 // Fingerprint identifies the enabled shape set for cache keys: compiled
 // artifacts fused under different tables must not collide in the artifact
 // cache. A nil or empty table (fusion disabled) reports "off".

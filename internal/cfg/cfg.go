@@ -94,17 +94,6 @@ func (g *Graph) Dominates(a, b NodeID) bool {
 	return false
 }
 
-// PostDominates reports whether a postdominates b.
-func (g *Graph) PostDominates(a, b NodeID) bool {
-	for b != -1 {
-		if a == b {
-			return true
-		}
-		b = g.ipdom[b]
-	}
-	return false
-}
-
 type builder struct {
 	g *Graph
 

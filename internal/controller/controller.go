@@ -204,15 +204,16 @@ func (c *Controller) Parallel() *parallel.Graph { return c.pgraph }
 // Emulator returns the per-process emulator.
 func (c *Controller) Emulator(pid int) *emulation.Emulator { return c.emus[pid] }
 
-// Races runs the race detector over the execution (§6.4), sharded across
-// the worker pool, and memoizes the result: the parallel graph is immutable
-// post-run, so the detector runs at most once per controller. The race set
-// is identical to race.Naive's (the detectors are golden-equivalent).
+// Races runs the race detector over the execution (§6.4) and memoizes
+// the result: the parallel graph is immutable post-run, so the detector
+// runs at most once per controller, on the first call — a session that
+// never asks for races (flowback) never pays for detection. The race set
+// is identical to race.Naive's.
 //
 // The detector is filtered by the static conflict matrix of the
 // artifacts' one vet result (Artifacts.Vet: persisted, or computed once
-// from the compile's facts): buckets of variables no pair of processes can
-// statically conflict on are skipped.
+// from the compile's facts): variables no pair of processes can
+// statically conflict on never enter the detector's index.
 // The filter cannot change the result — the matrix over-approximates
 // every dynamic conflict — it only removes work.
 func (c *Controller) Races() []*race.Race {
@@ -220,7 +221,7 @@ func (c *Controller) Races() []*race.Race {
 	defer c.mu.Unlock()
 	if !c.racesDone {
 		mask := c.Art.Vet(c.obs).Conflicts.Mask()
-		c.races = race.Detect(c.pgraph, race.Opts{Workers: c.pool.Workers(), Mask: mask, Sink: c.obs})
+		c.races = race.Detect(c.pgraph, race.Opts{Mask: mask, Sink: c.obs})
 		c.racesDone = true
 	}
 	return c.races

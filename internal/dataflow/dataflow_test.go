@@ -332,17 +332,17 @@ func main() {
 	}
 	// After "var a = 1", a is live (b reads it).
 	aNode := g.NodeFor(findStmt(t, info, "main", "var a = 1"))
-	if !lv.LiveAfter(aNode).Has(aIdx) {
+	if !lv.Out[aNode].Has(aIdx) {
 		t.Error("a should be live after its definition")
 	}
 	// After "print(b)", b is dead.
 	pNode := g.NodeFor(findStmt(t, info, "main", "print(b)"))
-	if lv.LiveAfter(pNode).Has(bIdx) {
+	if lv.Out[pNode].Has(bIdx) {
 		t.Error("b should be dead after its last use")
 	}
 	// c is never read: dead even right after its def.
 	cNode := g.NodeFor(findStmt(t, info, "main", "var c = 5"))
-	if lv.LiveAfter(cNode).Has(cIdx) {
+	if lv.Out[cNode].Has(cIdx) {
 		t.Error("unused c should be dead")
 	}
 }

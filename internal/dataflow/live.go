@@ -83,8 +83,5 @@ func ComputeLiveness(space *Space, g *cfg.Graph, uds map[ast.StmtID]*UseDef) *Li
 	return lv
 }
 
-// LiveAfter returns the variables live immediately after node n.
-func (lv *Liveness) LiveAfter(n cfg.NodeID) *bitset.Set { return lv.Out[n] }
-
 // LiveBefore returns the variables live immediately before node n.
 func (lv *Liveness) LiveBefore(n cfg.NodeID) *bitset.Set { return lv.In[n] }

@@ -28,7 +28,8 @@ import (
 //     divergence (the §5 machinery is total over reachable logs);
 //  3. folding the postlogs reproduces the VM's final global state (§5.7);
 //  4. the binary log codec round-trips the real log;
-//  5. both race detectors agree (parallel programs).
+//  5. Detect's race report is byte-identical to Naive's (parallel
+//     programs).
 func TestGeneratedProgramsDifferential(t *testing.T) {
 	type scenario struct {
 		name string
@@ -178,9 +179,9 @@ func checkProgram(t *testing.T, seed int64, src string, parallelMode bool) {
 	// 5. Race detectors agree.
 	if parallelMode {
 		g := parallel.Build(vLog.Log, len(inst.Prog.Globals))
-		naive, detected := race.Naive(g), race.Detect(g, race.Opts{})
-		if len(naive) != len(detected) {
-			t.Errorf("seed %d: naive=%d detected=%d races", seed, len(naive), len(detected))
+		naive, detected := race.Report(race.Naive(g), nil), race.Report(race.Detect(g, race.Opts{}), nil)
+		if naive != detected {
+			t.Errorf("seed %d: Detect diverges from Naive:\n got: %swant: %s", seed, detected, naive)
 		}
 	}
 }

@@ -117,9 +117,6 @@ type FuncPDG struct {
 	Reaching *dataflow.Reaching
 	DataDeps []DataDep
 	Simple   *Simplified
-
-	// dataDepsTo indexes DataDeps by use node for flowback queries.
-	dataDepsTo map[cfg.NodeID][]DataDep
 }
 
 // Program is the static PDG of the whole program.
@@ -254,24 +251,19 @@ func (p *Program) buildFunc(fn *sem.FuncInfo) *FuncPDG {
 	reach := dataflow.ComputeReaching(space, g, uds)
 
 	f := &FuncPDG{
-		Fn:         fn,
-		CFG:        g,
-		Space:      space,
-		UseDefs:    uds,
-		Reaching:   reach,
-		dataDepsTo: make(map[cfg.NodeID][]DataDep),
+		Fn:       fn,
+		CFG:      g,
+		Space:    space,
+		UseDefs:  uds,
+		Reaching: reach,
 	}
 	for _, du := range reach.DefUseChains() {
 		dd := DataDep{From: du.Def.Node, To: du.Use, Var: du.Var}
 		f.DataDeps = append(f.DataDeps, dd)
-		f.dataDepsTo[du.Use] = append(f.dataDepsTo[du.Use], dd)
 	}
 	f.Simple = p.buildSimplified(f, direct)
 	return f
 }
-
-// DataDepsTo returns the static data dependences feeding node n.
-func (f *FuncPDG) DataDepsTo(n cfg.NodeID) []DataDep { return f.dataDepsTo[n] }
 
 // CtrlDepsOf returns the branch nodes n is control dependent on.
 func (f *FuncPDG) CtrlDepsOf(n cfg.NodeID) []cfg.NodeID { return f.CFG.CtrlDeps[n] }

@@ -44,13 +44,13 @@ func main() {
 	use := nodeOf(t, f, "var x = g")
 	def := nodeOf(t, f, "setg(7)")
 	found := false
-	for _, dd := range f.DataDepsTo(use) {
-		if dd.From == def && f.Space.Name(dd.Var) == "g" {
+	for _, dd := range f.DataDeps {
+		if dd.To == use && dd.From == def && f.Space.Name(dd.Var) == "g" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("missing interprocedural data dep setg(7) -> var x = g; have %v", f.DataDepsTo(use))
+		t.Errorf("missing interprocedural data dep setg(7) -> var x = g; have %v", f.DataDeps)
 	}
 }
 

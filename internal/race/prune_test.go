@@ -41,8 +41,8 @@ func renderAll(rs []*Race) string {
 
 // TestMaskedEquivalentToUnfiltered pins the static filter's soundness
 // end to end: on every workload and seed, Detect with the program's mask
-// reports byte-identical races to the unfiltered scan and to Naive, at
-// every width (checkDetectEquivalent).
+// reports byte-identical races to the unfiltered detector and to Naive
+// (checkDetectEquivalent).
 func TestMaskedEquivalentToUnfiltered(t *testing.T) {
 	for _, wl := range pruneCases() {
 		for _, seed := range []int64{0, 3} {
@@ -54,8 +54,8 @@ func TestMaskedEquivalentToUnfiltered(t *testing.T) {
 
 // TestMaskPrunesShardedBuckets pins the payoff: the sharded workload's
 // per-worker shards have no static conflicts, so the masked detector
-// skips their buckets entirely (and still agrees with the unfiltered
-// detector, per the equivalence test above).
+// never indexes them and tests no pair (and still agrees with the
+// unfiltered detector, per the equivalence test above).
 func TestMaskPrunesShardedBuckets(t *testing.T) {
 	wl := workloads.Sharded(4, 40)
 	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{})
@@ -165,8 +165,8 @@ func TestRaceNamesFromGraph(t *testing.T) {
 }
 
 // BenchmarkRacePruned measures the masked detector on the conflict-sparse
-// sharded workload against the unfiltered baseline, both on one worker
-// (BenchmarkRaceIndexed shape); E16 reports the same comparison.
+// sharded workload against the unfiltered baseline; E16 reports the same
+// comparison.
 func BenchmarkRacePruned(b *testing.B) {
 	wl := workloads.Sharded(8, 120)
 	art, err := compile.Compile(source.NewFile(wl.Name, wl.Src), compile.Opts{})
@@ -181,12 +181,12 @@ func BenchmarkRacePruned(b *testing.B) {
 	mask := analysis.Analyze(art.PDG, art.Prog, nil).Conflicts.Mask()
 	b.Run("unfiltered", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Detect(g, Opts{Workers: 1})
+			Detect(g, Opts{})
 		}
 	})
 	b.Run("masked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Detect(g, Opts{Workers: 1, Mask: mask})
+			Detect(g, Opts{Mask: mask})
 		}
 	})
 }

@@ -3,15 +3,17 @@
 // when their shared READ/WRITE sets conflict (Definition 6.3); an execution
 // instance is race-free when no pair races (Definition 6.4).
 //
-// Two detectors are provided. Naive enumerates all pairs of internal edges
-// from different processes — the quadratic cost the paper's §7 names as the
-// open problem ("finding all pairs of possible conflicting edges is more
-// expensive ... we are currently investigating algorithms to reduce the
-// cost") and stays as the oracle. Detect is such an algorithm and the one
-// entry point every caller uses: it buckets edges by the shared variable
-// they touch, so only edges that can possibly conflict are ever compared,
-// and each comparison is an O(P) vector-clock check. Experiment E8
-// benchmarks the two against each other.
+// There is one detector, the Frontier, and the Naive oracle. Naive
+// enumerates all pairs of internal edges from different processes — the
+// quadratic cost the paper's §7 names as the open problem ("finding all
+// pairs of possible conflicting edges is more expensive ... we are
+// currently investigating algorithms to reduce the cost") — and stays as
+// the reference. The Frontier is such an algorithm: it takes the graph's
+// nodes in generation order, tests each internal edge only against the
+// unretired edges that share a variable with it (an O(P) vector-clock
+// check each), and retires edges the happens-before frontier has passed.
+// Detect runs it over a finished graph; package stream runs it online,
+// while the program runs. Experiment E8 benchmarks Detect against Naive.
 package race
 
 import (
@@ -21,9 +23,9 @@ import (
 	"strings"
 
 	"ppd/internal/bitset"
+	"ppd/internal/logging"
 	"ppd/internal/obs"
 	"ppd/internal/parallel"
-	"ppd/internal/sched"
 )
 
 // Conflict classifies a race by access kinds.
@@ -110,7 +112,7 @@ type pairKey struct {
 	kind Conflict
 }
 
-// key canonicalizes a race for deduplication across detectors.
+// key canonicalizes a race for deduplication.
 func (r *Race) key() pairKey {
 	a, b := r.E1.ID, r.E2.ID
 	if a > b {
@@ -119,27 +121,15 @@ func (r *Race) key() pairKey {
 	return pairKey{a, b, r.Kind}
 }
 
-// checkPair applies Definition 6.3 to a pair of simultaneous edges,
-// returning the races found (possibly several kinds). Each intersection is
-// one fused pass (bitset.Intersection) instead of an Intersects probe
-// followed by Clone+IntersectWith.
-func checkPair(g *parallel.Graph, e1, e2 *parallel.InternalEdge) []*Race {
-	// Canonical orientation so both detectors classify a conflict the same
-	// way regardless of discovery order.
-	if e1.ID > e2.ID {
-		e1, e2 = e2, e1
-	}
-	return CheckOrientedPair(e1, e2, g.VarNames)
-}
-
-// CheckOrientedPair is checkPair without the re-orientation: the caller
-// has already put the pair in canonical order. The streaming detector
-// needs this split because it classifies pairs while edges still carry
-// process-local IDs — raw ID order would mis-orient a cross-process pair,
-// but (PID, local index) order equals final global ID order, so the
-// stream orients by that and the classification matches the batch
-// detector's exactly. varNames, when non-nil, resolves conflict variables
-// to source names (the batch path passes Graph.VarNames).
+// CheckOrientedPair applies Definition 6.3 to a pair of simultaneous
+// edges, returning the races found (possibly several kinds). The caller
+// has put the pair in canonical order — final global ID order — so a
+// conflict is classified the same way regardless of discovery order. A
+// streamed edge carries a process-local ID, so raw ID order would
+// mis-orient a cross-process pair; (PID, ID) order equals final global ID
+// order, and the Frontier orients by that. Each intersection is one fused
+// pass (bitset.Intersection). varNames, when non-nil, resolves conflict
+// variables to source names (Graph.VarNames).
 func CheckOrientedPair(e1, e2 *parallel.InternalEdge, varNames []string) []*Race {
 	mk := func(kind Conflict, inter *bitset.Set) *Race {
 		r := &Race{E1: e1, E2: e2, Kind: kind, Vars: inter.Elems()}
@@ -165,7 +155,8 @@ func CheckOrientedPair(e1, e2 *parallel.InternalEdge, varNames []string) []*Race
 }
 
 // Naive enumerates every pair of internal edges from different processes,
-// tests simultaneity, then conflicts. O(E² · (P + V/64)).
+// tests simultaneity, then conflicts. O(E² · (P + V/64)). Pairs come in
+// ID order, the canonical orientation.
 func Naive(g *parallel.Graph) []*Race {
 	var out []*Race
 	for i := 0; i < len(g.Edges); i++ {
@@ -177,145 +168,128 @@ func Naive(g *parallel.Graph) []*Race {
 			if !g.Simultaneous(e1, e2) {
 				continue
 			}
-			out = append(out, checkPair(g, e1, e2)...)
+			out = append(out, CheckOrientedPair(e1, e2, g.VarNames)...)
 		}
 	}
 	return dedup(out)
 }
 
-// buckets indexes the graph's internal edges per shared variable,
-// separately for readers and writers — the candidate sets Definition 6.3
-// can ever accept.
-func buckets(g *parallel.Graph) (readers, writers [][]*parallel.InternalEdge) {
-	nv := g.NumShared()
-	readers = make([][]*parallel.InternalEdge, nv)
-	writers = make([][]*parallel.InternalEdge, nv)
-	for _, e := range g.Edges {
-		e.Reads.ForEach(func(v int) { readers[v] = append(readers[v], e) })
-		e.Writes.ForEach(func(v int) { writers[v] = append(writers[v], e) })
-	}
-	return readers, writers
-}
-
-// scanVars tests every candidate pair of the variables in [lo, hi),
-// appending the races found. Pairs sharing several variables are tested
-// once per variable; the duplicate Race entries that produces are removed
-// by dedup — cheaper than tracking visited pairs in a map. pairs counts
-// candidate pairs tested (a plain local counter; the caller folds it into
-// its sink only when observation is enabled).
-// mask, when non-nil, is the static conflict mask: buckets of variables
-// outside it are skipped entirely (pruned counts them). Soundness: the
-// mask over-approximates every variable two processes can conflict on, so
-// a skipped bucket can contain no racing pair — any race discoverable via
-// a pruned variable conflicts on that variable, which would have put it
-// in the mask.
-func scanVars(g *parallel.Graph, readers, writers [][]*parallel.InternalEdge, lo, hi int, mask *bitset.Set, pairs, pruned *int64) []*Race {
-	var out []*Race
-	tryPair := func(e1, e2 *parallel.InternalEdge) {
-		if e1.PID == e2.PID {
-			return
-		}
-		*pairs++
-		if !g.Simultaneous(e1, e2) {
-			return
-		}
-		out = append(out, checkPair(g, e1, e2)...)
-	}
-	for v := lo; v < hi; v++ {
-		if mask != nil && !mask.Has(v) {
-			if len(writers[v]) > 0 || len(readers[v]) > 0 {
-				*pruned++
-			}
-			continue
-		}
-		// write/write and write/read candidates.
-		for i, w := range writers[v] {
-			for _, w2 := range writers[v][i+1:] {
-				tryPair(w, w2)
-			}
-			for _, r := range readers[v] {
-				tryPair(w, r)
-			}
-		}
-	}
-	return out
-}
-
-// Opts configures Detect. The zero value scans every bucket on GOMAXPROCS
-// workers with observation off.
+// Opts configures Detect. The zero value scans every variable with
+// observation off.
 type Opts struct {
-	// Workers bounds the scan's fan-out: <= 0 selects GOMAXPROCS, and one
-	// worker (or one variable) runs the scan inline with no goroutines.
-	Workers int
-	// Mask, when non-nil, is the static conflict filter: per-variable
-	// buckets outside it are skipped without scanning
-	// ("race.buckets.pruned" counts them). It must over-approximate the
-	// statically-possible conflicts (analysis.ConflictMatrix.Mask does);
-	// the result is then identical to the unfiltered scan's.
+	// Mask, when non-nil, is the static conflict filter: variables outside
+	// it never enter the frontier's index ("race.buckets.pruned" counts the
+	// touched ones). It must over-approximate the statically-possible
+	// conflicts (analysis.ConflictMatrix.Mask does); the result is then
+	// identical to the unfiltered detector's. Soundness: any race on a
+	// pruned variable conflicts on that variable, which would have put it
+	// in the mask.
 	Mask *bitset.Set
 	// Sink receives the detector metrics: candidate pairs tested
-	// ("race.pairs"), races found ("race.races"), pruned buckets, runs
-	// ("race.runs"), and detection time (the "debug.race" scope). Each
-	// worker counts in plain locals folded in once after the merge, so the
-	// hot scan never touches an atomic. A nil sink disables observation.
+	// ("race.pairs"), races found ("race.races"), pruned variables, runs
+	// ("race.runs"), and detection time (the "debug.race" scope). The
+	// frontier counts in plain fields folded in once at the end. A nil
+	// sink disables observation.
 	Sink *obs.Sink
 }
 
-// chunkScan is one worker's share of a sharded scan: the races plus the
-// pair count of a contiguous variable range.
-type chunkScan struct {
-	races  []*Race
-	pairs  int64
-	pruned int64
-}
-
-// Detect buckets edges per shared variable (separately for readers and
-// writers), then tests only pairs sharing a variable — the candidate set
-// Definition 6.3 can ever accept — eliminating the quadratic sweep over
-// unrelated edges. The buckets are independent by construction, so they
-// are sharded across a bounded worker pool: each worker scans a contiguous
-// range of variables (pruning by Mask inside its range), the per-worker
-// race slices are merged in variable order, and dedup canonicalizes — so
-// the result is identical to Naive's, slice order included, at every
-// width and with or without the mask.
+// Detect is the post-mortem race detector: it feeds the finished graph's
+// nodes to a Frontier in generation order (walk) and canonicalizes what
+// the frontier classifies. Each edge is tested only against the
+// unretired edges sharing a variable with it — the candidate set
+// Definition 6.3 can ever accept, cut by the happens-before frontier —
+// so the result is identical to Naive's, slice order included, with or
+// without the mask.
 func Detect(g *parallel.Graph, o Opts) []*Race {
 	sc := o.Sink.Scope("debug.race")
 	defer sc.End()
-	readers, writers := buckets(g)
-	parts := sched.ChunkMap(sched.NewObs(o.Workers, o.Sink), g.NumShared(),
-		func(lo, hi int) chunkScan {
-			var cs chunkScan
-			cs.races = scanVars(g, readers, writers, lo, hi, o.Mask, &cs.pairs, &cs.pruned)
-			return cs
-		})
-	var all []*Race
-	var pairs, pruned int64
-	for _, part := range parts {
-		all = append(all, part.races...)
-		pairs += part.pairs
-		pruned += part.pruned
-	}
-	out := dedup(all)
-	record(o.Sink, pairs, pruned, len(out))
+	f := NewFrontier(g.NumShared(), o.Mask, g.VarNames, nil)
+	feed(f, g, walk(g))
+	out := dedup(f.Races())
+	record(o.Sink, f.Stats(), len(out))
 	return out
 }
 
+// feed adds g's nodes to f in the given order, each with the internal
+// edge it terminates: Graph.Edges[i] ends at Graph.Events[i], since both
+// are numbered per process in pid order and every node ends one edge.
+func feed(f *Frontier, g *parallel.Graph, order []*parallel.Event) {
+	for _, ev := range order {
+		e := g.Edges[ev.ID]
+		var start *parallel.Event
+		if e.Start >= 0 {
+			start = g.Events[e.Start]
+		}
+		f.OnSync(ev, e, start)
+	}
+}
+
+// walk returns g's nodes in generation order, the order the Frontier
+// needs: sync nodes by Gsn (the order the VM logged them); a spawned
+// process's start node (Gsn 0, From = its spawn) right after its spawn,
+// so the process is live from the moment it exists; an exit node (Gsn 0)
+// after its in-process predecessor and that node's spawned starts — a
+// child must be live before its parent can exit. Nodes with no such
+// place, such as the root's start, go first. Every node comes after its
+// in-process predecessor and its From node.
+//
+// Each node gets the key 2·Gsn of its place, odd for exits, and a
+// counting sort orders the keys, ties in node order: a spawn's start
+// follows it because a child's pid, hence its node IDs, are higher. The VM
+// numbers gsns densely from 1, one per sync node, so the count array is
+// no longer than the graph; only a corrupt log numbers past that, and it
+// takes a comparison sort instead.
+func walk(g *parallel.Graph) []*parallel.Event {
+	evs := g.Events
+	key := make([]uint64, len(evs))
+	var maxKey uint64
+	for i, ev := range evs {
+		switch {
+		case ev.Kind == logging.RecStart && ev.From >= 0 && int(ev.From) < i && evs[ev.From].Kind == logging.RecSync:
+			key[i] = key[ev.From]
+		case ev.Kind == logging.RecExit && ev.Gsn == 0 && ev.Idx > 0:
+			key[i] = key[i-1] | 1
+		default:
+			key[i] = 2 * ev.Gsn
+		}
+		maxKey = max(maxKey, key[i])
+	}
+	order := make([]*parallel.Event, len(evs))
+	if maxKey > uint64(4*len(evs)) {
+		copy(order, evs)
+		sort.SliceStable(order, func(a, b int) bool { return key[order[a].ID] < key[order[b].ID] })
+		return order
+	}
+	at := make([]int, maxKey+2)
+	for _, k := range key {
+		at[k+1]++
+	}
+	for k := 1; k < len(at); k++ {
+		at[k] += at[k-1]
+	}
+	for i, k := range key {
+		order[at[k]] = evs[i]
+		at[k]++
+	}
+	return order
+}
+
 // record folds one detection run's tallies into the sink.
-func record(sink *obs.Sink, pairs, pruned int64, races int) {
+func record(sink *obs.Sink, st FrontierStats, races int) {
 	if sink == nil {
 		return
 	}
-	sink.Counter("race.pairs").Add(pairs)
+	sink.Counter("race.pairs").Add(st.Pairs)
 	sink.Counter("race.races").Add(int64(races))
-	sink.Counter("race.buckets.pruned").Add(pruned)
+	sink.Counter("race.buckets.pruned").Add(st.Pruned)
 	sink.Counter("race.runs").Inc()
 }
 
 // Canonicalize dedups and sorts races into the canonical report order —
-// (E1.ID, E2.ID, Kind) ascending, first occurrence kept. The batch
-// detectors apply it internally; the streaming detector applies it after
-// renumbering its retained edges into the global ID space, which is what
-// makes its final race set byte-identical to the batch oracle's.
+// (E1.ID, E2.ID, Kind) ascending, first occurrence kept. Naive and Detect
+// apply it internally; the online pipeline applies it after renumbering
+// its retained edges into the global ID space, which is what makes its
+// final race set byte-identical to Naive's.
 func Canonicalize(rs []*Race) []*Race { return dedup(rs) }
 
 func dedup(rs []*Race) []*Race {
@@ -338,11 +312,6 @@ func dedup(rs []*Race) []*Race {
 		return out[i].Kind < out[j].Kind
 	})
 	return out
-}
-
-// RaceFree implements Definition 6.4 for an execution instance.
-func RaceFree(g *parallel.Graph) bool {
-	return len(Detect(g, Opts{})) == 0
 }
 
 // reportLineBytes estimates one report line: the fixed text plus six

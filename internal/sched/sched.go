@@ -1,15 +1,16 @@
-// Package sched is the debugging phase's shared worker pool: a small,
-// bounded fan-out primitive used by parallel graph construction
-// (parallel.Build), the parallel race detector (race.Detect), and the
-// Controller's emulator construction.
+// Package sched is the shared worker pool: a small, bounded fan-out
+// primitive used by parallel graph construction (parallel.Build's
+// per-process feed extraction), the Controller's emulator construction,
+// and the preparatory phase's per-function passes (interproc, PDG,
+// progdb, code generation). Race detection does not fan out: it is one
+// pass of the happens-before frontier (race.Frontier).
 //
-// The paper's §7 leaves "reducing the cost of finding all pairs of possible
-// conflicting edges" open, and every debugging-phase analysis here
-// decomposes into independent units (per-process log scans, per-variable
-// conflict buckets, per-interval emulations). sched exploits that: work is
-// split into at most Workers contiguous chunks, each chunk runs on its own
-// goroutine, and results are merged back in index order — so callers get
-// parallel speed with *deterministic* output, the product's core contract.
+// Those analyses decompose into independent units (per-process log scans,
+// per-process emulators, per-function passes). sched exploits that: work
+// is split into at most Workers contiguous chunks, each chunk runs on its
+// own goroutine, and results are merged back in index order — so callers
+// get parallel speed with *deterministic* output, the product's core
+// contract.
 //
 // Design rules:
 //
@@ -43,7 +44,7 @@ type Pool struct {
 	// Observability (nil when disabled). Counters are resolved once here
 	// so fan-outs never do name lookups.
 	sink     *obs.Sink
-	cFanouts *obs.Counter // fan-out calls (Chunks/ForEach/Map/ChunkMap)
+	cFanouts *obs.Counter // fan-out calls (Chunks/ForEach/Map)
 	cTasks   *obs.Counter // items fanned out
 	cChunks  *obs.Counter // chunk goroutines (or inline runs) executed
 	tWait    *obs.Timer   // per-chunk queue wait: fan-out start -> chunk start
@@ -104,10 +105,11 @@ func (p *Pool) chunks(n int) []int {
 	return bounds
 }
 
-// runChunks is the fan-out engine behind Chunks and ChunkMap: fn(c, lo, hi)
-// owns chunk c covering [lo, hi). Degenerate cases run inline on the
-// caller's goroutine; a panic in any chunk is re-raised here.
-func (p *Pool) runChunks(n int, fn func(c, lo, hi int)) {
+// Chunks runs fn over at most Workers contiguous, disjoint sub-ranges of
+// [0, n), concurrently, and blocks until all complete. fn(lo, hi) owns
+// [lo, hi). Degenerate cases run inline on the caller's goroutine; a panic
+// in any chunk is re-raised here.
+func (p *Pool) Chunks(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -119,11 +121,11 @@ func (p *Pool) runChunks(n int, fn func(c, lo, hi int)) {
 		if p.sink != nil {
 			p.cChunks.Inc()
 			sw := p.tBusy.Start()
-			fn(0, 0, n)
+			fn(0, n)
 			sw.Stop()
 			return
 		}
-		fn(0, 0, n)
+		fn(0, n)
 		return
 	}
 	bounds := p.chunks(n)
@@ -148,7 +150,7 @@ func (p *Pool) runChunks(n int, fn func(c, lo, hi int)) {
 				launch.Stop() // queue wait of this chunk: fan-out start -> now
 				sw = p.tBusy.Start()
 			}
-			fn(c, bounds[c], bounds[c+1])
+			fn(bounds[c], bounds[c+1])
 			if p.sink != nil {
 				sw.Stop()
 			}
@@ -160,13 +162,6 @@ func (p *Pool) runChunks(n int, fn func(c, lo, hi int)) {
 			panic(fmt.Sprintf("sched: worker panic: %v", r))
 		}
 	}
-}
-
-// Chunks runs fn over at most Workers contiguous, disjoint sub-ranges of
-// [0, n), concurrently, and blocks until all complete. fn(lo, hi) owns
-// [lo, hi). A panic in any chunk is re-raised here.
-func (p *Pool) Chunks(n int, fn func(lo, hi int)) {
-	p.runChunks(n, func(_, lo, hi int) { fn(lo, hi) })
 }
 
 // ForEach runs fn(i) for every i in [0, n), fanned out across the pool's
@@ -184,22 +179,5 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 func Map[T any](p *Pool, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	p.ForEach(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// ChunkMap computes fn over each contiguous chunk of [0, n) and returns the
-// per-chunk results in chunk order. Use it when per-item results would
-// allocate too much and the caller can merge chunk aggregates (e.g. one
-// race slice per variable range).
-func ChunkMap[T any](p *Pool, n int, fn func(lo, hi int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	k := p.workers
-	if k > n {
-		k = n
-	}
-	out := make([]T, k)
-	p.runChunks(n, func(c, lo, hi int) { out[c] = fn(lo, hi) })
 	return out
 }

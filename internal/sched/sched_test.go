@@ -77,30 +77,6 @@ func TestMapIsDeterministicallyOrdered(t *testing.T) {
 	}
 }
 
-func TestChunkMapMergesInChunkOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 9} {
-		parts := ChunkMap(New(workers), 23, func(lo, hi int) []int {
-			out := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				out = append(out, i)
-			}
-			return out
-		})
-		var flat []int
-		for _, p := range parts {
-			flat = append(flat, p...)
-		}
-		if len(flat) != 23 {
-			t.Fatalf("workers=%d: merged %d items, want 23", workers, len(flat))
-		}
-		for i, v := range flat {
-			if v != i {
-				t.Fatalf("workers=%d: merge out of order at %d: %d", workers, i, v)
-			}
-		}
-	}
-}
-
 func TestWorkerPanicPropagates(t *testing.T) {
 	defer func() {
 		r := recover()

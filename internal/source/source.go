@@ -89,9 +89,6 @@ func (f *File) LineText(line int) string {
 	return f.Content[start:end]
 }
 
-// NumLines returns the number of lines in the file.
-func (f *File) NumLines() int { return len(f.lines) }
-
 // Position is a resolved, human-readable source location.
 type Position struct {
 	Filename string

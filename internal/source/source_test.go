@@ -22,8 +22,8 @@ func TestPositionResolution(t *testing.T) {
 			t.Errorf("offset %d: got %d:%d, want %d:%d", c.offset, pos.Line, pos.Column, c.line, c.col)
 		}
 	}
-	if got := f.NumLines(); got != 4 {
-		t.Errorf("NumLines = %d, want 4", got)
+	if got := len(f.lines); got != 4 {
+		t.Errorf("%d lines, want 4", got)
 	}
 }
 

@@ -19,10 +19,10 @@ import (
 
 // capturedRun is one logged execution observed two ways at once: the tap
 // copies the sync-relevant records in generation order (exactly what the
-// production tee sees), and the retained log is the input to the batch
-// oracle. Both views come from the same run, so any divergence between
-// the online pipeline and the batch detector is the pipeline's fault, not
-// schedule noise.
+// production tee sees), and the retained log is the input to the
+// post-mortem graph and the Naive oracle. Both views come from the same
+// run, so any divergence between the online pipeline and the oracle is
+// the pipeline's fault, not schedule noise.
 type capturedRun struct {
 	recs  []parallel.FeedRecord
 	v     *vm.VM
@@ -105,9 +105,8 @@ func feedBatches(p *stream.Pipeline, recs []parallel.FeedRecord, batch int) {
 // TestOnlineRacesByteIdentical is the pipeline's acceptance gate: over
 // the full workload × (seed, quantum) matrix, the online detector's final
 // race set — fed at every batch size — renders byte-identically
-// (race.Report) to the batch oracle, and the batch oracle itself
-// (race.Detect) agrees with itself at several worker widths. The batch path stays the golden reference; streaming is an
-// execution strategy, not a different answer.
+// (race.Report) to the Naive oracle over the finished graph. Streaming is
+// an execution strategy, not a different answer.
 func TestOnlineRacesByteIdentical(t *testing.T) {
 	cases := workloads.Standard()
 	cases = append(cases,
@@ -115,31 +114,28 @@ func TestOnlineRacesByteIdentical(t *testing.T) {
 		workloads.Relay(3, 25),
 		workloads.RacyCounter(3, 30, false),
 		workloads.RacyCounter(2, 12, true),
+		// main exits right after its last spawn, without joining.
+		&workloads.Workload{Name: "spawn-and-exit", Src: `
+shared x;
+func w() { x = x + 1; }
+func main() { spawn w(); spawn w(); }`},
 	)
 	configs := []struct {
 		seed    int64
 		quantum int
 	}{{0, 5}, {3, 40}, {1, 1}, {2, 3}}
 	batches := []int{1, 7, 64, 0} // 0 = the whole stream in one Feed
-	workers := []int{0, 2, 4, 8}
 
 	for _, wl := range cases {
 		for _, cfg := range configs {
 			t.Run(fmt.Sprintf("%s/s%d_q%d", wl.Name, cfg.seed, cfg.quantum), func(t *testing.T) {
 				cr := captureRun(t, wl.Name+".mpl", wl.Src, cfg.seed, cfg.quantum)
-				g := cr.oracleGraph()
-				want := race.Report(race.Detect(g, race.Opts{Workers: 1, Mask: cr.mask}), nil)
-				for _, w := range workers {
-					got := race.Report(race.Detect(g, race.Opts{Workers: w, Mask: cr.mask}), nil)
-					if got != want {
-						t.Fatalf("batch oracle (workers=%d) diverges:\n got: %swant: %s", w, got, want)
-					}
-				}
+				want := race.Report(race.Naive(cr.oracleGraph()), nil)
 				for _, b := range batches {
 					res := onlineResult(cr, b)
 					got := race.Report(res.Races, nil)
 					if got != want {
-						t.Errorf("online (batch=%d) diverges from batch oracle:\n got: %swant: %s", b, got, want)
+						t.Errorf("online (batch=%d) diverges from Naive:\n got: %swant: %s", b, got, want)
 					}
 					if res.Events != int64(len(cr.recs)) {
 						t.Errorf("online (batch=%d) built %d events from %d records", b, res.Events, len(cr.recs))
@@ -188,15 +184,14 @@ func TestFrontierRetirement(t *testing.T) {
 
 // FuzzStreamBatches drives the differential check with adversarial batch
 // boundaries: the fuzz input is interpreted as a sequence of batch sizes,
-// and every partition of the record stream must produce the oracle's
-// exact report. Any divergence is a real soundness bug (a frontier
+// and every partition of the record stream must produce the Naive
+// oracle's exact report. Any divergence is a real soundness bug (a frontier
 // retirement that was too eager, a source matched across the wrong
 // boundary), never flake.
 func FuzzStreamBatches(f *testing.F) {
 	wl := workloads.RacyCounter(3, 10, false)
 	cr := captureRun(f, wl.Name+".mpl", wl.Src, 2, 3)
-	g := cr.oracleGraph()
-	want := race.Report(race.Detect(g, race.Opts{Workers: 1, Mask: cr.mask}), nil)
+	want := race.Report(race.Naive(cr.oracleGraph()), nil)
 
 	f.Add([]byte{1})
 	f.Add([]byte{7, 1, 255})

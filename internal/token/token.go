@@ -142,15 +142,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// IsLiteral reports whether the kind is an identifier or literal constant.
-func (k Kind) IsLiteral() bool { return literalBeg < k && k < literalEnd }
-
-// IsOperator reports whether the kind is an operator or delimiter.
-func (k Kind) IsOperator() bool { return operatorBeg < k && k < operatorEnd }
-
-// IsKeyword reports whether the kind is a reserved word.
-func (k Kind) IsKeyword() bool { return keywordBeg < k && k < keywordEnd }
-
 var keywords = func() map[string]Kind {
 	m := make(map[string]Kind)
 	for k := keywordBeg + 1; k < keywordEnd; k++ {

@@ -19,18 +19,21 @@ func TestLookupKeywords(t *testing.T) {
 	}
 }
 
+// TestClassPredicates pins the kind classes' ranges; Lookup builds its
+// keyword table from the keyword range.
 func TestClassPredicates(t *testing.T) {
-	if !IDENT.IsLiteral() || !INT.IsLiteral() || !STRING.IsLiteral() {
-		t.Error("literal predicates wrong")
+	in := func(k, beg, end Kind) bool { return beg < k && k < end }
+	if !in(IDENT, literalBeg, literalEnd) || !in(INT, literalBeg, literalEnd) || !in(STRING, literalBeg, literalEnd) {
+		t.Error("literal range wrong")
 	}
-	if !ADD.IsOperator() || !SEMICOLON.IsOperator() || !LBRACE.IsOperator() {
-		t.Error("operator predicates wrong")
+	if !in(ADD, operatorBeg, operatorEnd) || !in(SEMICOLON, operatorBeg, operatorEnd) || !in(LBRACE, operatorBeg, operatorEnd) {
+		t.Error("operator range wrong")
 	}
-	if !FUNC.IsKeyword() || !RECV.IsKeyword() {
-		t.Error("keyword predicates wrong")
+	if !in(FUNC, keywordBeg, keywordEnd) || !in(RECV, keywordBeg, keywordEnd) {
+		t.Error("keyword range wrong")
 	}
-	if FUNC.IsOperator() || ADD.IsKeyword() || SEM.IsLiteral() {
-		t.Error("cross-class predicates wrong")
+	if in(FUNC, operatorBeg, operatorEnd) || in(ADD, keywordBeg, keywordEnd) || in(SEM, literalBeg, literalEnd) {
+		t.Error("cross-class ranges wrong")
 	}
 }
 

@@ -338,10 +338,10 @@ func (p *Program) RunLoggedContext(ctx context.Context, opts Options) (*Executio
 		cancel context.CancelFunc // set only for the first-race self-abort
 	)
 	if monitor {
-		// The online detector reuses the batch oracle's inputs: the static
-		// conflict mask (memoized by Vet) prunes buckets before they are
-		// materialized, and the variable names make the online report
-		// byte-identical to the batch one.
+		// The online detector takes the post-mortem detector's inputs: the
+		// static conflict mask (memoized by Vet) keeps variables out of its
+		// index, and the variable names make the online report
+		// byte-identical to the post-mortem one.
 		vet := p.Vet()
 		names := make([]string, len(p.art.Prog.Globals))
 		for i, g := range p.art.Prog.Globals {
@@ -449,7 +449,7 @@ func (e *Execution) Monitored() bool { return e.online != nil }
 // OnlineResult returns the online pipeline's final output — the canonical
 // race set plus the frontier counters — or nil when the run was not
 // monitored. The race set is byte-identical (race.Report) to what the
-// batch detector computes over the same (possibly partial) log.
+// post-mortem detector computes over the same (possibly partial) log.
 func (e *Execution) OnlineResult() *StreamResult { return e.online }
 
 // OnlineRaces returns the online race set, or nil when not monitored.

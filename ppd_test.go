@@ -482,7 +482,7 @@ func main() { spawn w(); spawn w(); P(done); P(done); }`, eblock.DefaultConfig()
 	if prog.Vet() != res {
 		t.Error("Vet must memoize via the program database")
 	}
-	if !res.Conflicts.MayConflict(0) {
+	if !res.Conflicts.Mask().Has(0) {
 		t.Errorf("counter must be a conflict candidate: %s", res.Conflicts)
 	}
 }
