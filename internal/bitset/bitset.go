@@ -27,6 +27,11 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// Init makes s an empty set over [0, n) backed by words, which must be
+// zero and hold (n+63)/64 words: a builder making many sets carves their
+// words from one slice.
+func (s *Set) Init(words []uint64, n int) { s.words, s.n = words, n }
+
 // FromSlice returns a set over [0, n) containing the given elements.
 func FromSlice(n int, elems []int) *Set {
 	s := New(n)
@@ -132,6 +137,20 @@ func (s *Set) Intersects(o *Set) bool {
 		}
 	}
 	return false
+}
+
+// AppendIntersection appends the members of a ∩ b to dst in increasing
+// order, word by word, and returns the result; dst is unchanged when the
+// sets are disjoint. This is race classification's inner step (Def 6.3:
+// the variables two edges conflict on), so it builds no set.
+func AppendIntersection(dst []int, a, b *Set) []int {
+	n := min(len(a.words), len(b.words))
+	for wi := 0; wi < n; wi++ {
+		for w := a.words[wi] & b.words[wi]; w != 0; w &= w - 1 {
+			dst = append(dst, wi*wordBits+bits.TrailingZeros64(w))
+		}
+	}
+	return dst
 }
 
 // Intersection returns a ∩ b and whether it is non-empty, in one pass over

@@ -274,6 +274,45 @@ func TestIntersection(t *testing.T) {
 	}
 }
 
+func TestAppendIntersection(t *testing.T) {
+	a := FromSlice(200, []int{1, 64, 65, 130, 199})
+	b := FromSlice(200, []int{0, 64, 130, 131})
+	got := AppendIntersection([]int{7}, a, b)
+	if len(got) != 3 || got[0] != 7 || got[1] != 64 || got[2] != 130 {
+		t.Errorf("AppendIntersection = %v, want [7 64 130]", got)
+	}
+	// Must agree with the two-step Clone+IntersectWith.
+	ref := a.Clone()
+	ref.IntersectWith(b)
+	if !FromSlice(200, got[1:]).Equal(ref) {
+		t.Errorf("AppendIntersection = %v, reference = %v", got[1:], ref)
+	}
+
+	// Disjoint sets: nothing appended, nothing allocated.
+	d := FromSlice(200, []int{2, 66, 132})
+	if got := AppendIntersection(nil, a, d); got != nil {
+		t.Errorf("disjoint AppendIntersection = %v, want nil", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { AppendIntersection(nil, a, d) }); n != 0 {
+		t.Errorf("disjoint AppendIntersection allocates %v times", n)
+	}
+
+	// Mismatched universes stop at the smaller one.
+	small := FromSlice(70, []int{64, 65})
+	if got := AppendIntersection(nil, a, small); len(got) != 2 || got[0] != 64 || got[1] != 65 {
+		t.Errorf("mixed-universe AppendIntersection = %v, want [64 65]", got)
+	}
+
+	// Init: a set over caller-owned words.
+	var s Set
+	words := make([]uint64, 4)
+	s.Init(words[1:3], 100)
+	s.Add(70)
+	if !s.Has(70) || s.Len() != 100 || words[2] != 1<<6 {
+		t.Errorf("Init set: Has(70)=%v Len=%d words=%v", s.Has(70), s.Len(), words)
+	}
+}
+
 // BenchmarkBitsetVsListSets is E9: intersection and clone+union of two
 // 48-element sets over a 512-variable universe, bitset vs. list.
 func BenchmarkBitsetVsListSets(b *testing.B) {

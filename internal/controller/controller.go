@@ -49,9 +49,8 @@ type Controller struct {
 	// Deadlock reports whether execution ended blocked.
 	Deadlock bool
 
-	pgraph *parallel.Graph
-	emus   []*emulation.Emulator
-	pool   *sched.Pool
+	emus []*emulation.Emulator
+	pool *sched.Pool
 	// epool is the replay-context pool shared by every per-process
 	// emulator, bounded by the worker count so concurrent sessions cannot
 	// hoard a VM per in-flight query.
@@ -75,15 +74,19 @@ type Controller struct {
 	ckMu    sync.Mutex
 	ckpts   [][]ckpt
 
-	// mu guards cache and races. Emulation itself runs outside the lock
-	// so concurrent misses on different intervals proceed in parallel.
+	// mu guards cache. Emulation itself runs outside the lock so
+	// concurrent misses on different intervals proceed in parallel.
 	mu sync.Mutex
 	// cache memoizes (pid, prelogIdx) → (dynamic graph, emulation result)
 	// under an LRU bound: the log is immutable post-run, so entries never
 	// invalidate, only age out.
 	cache *intervalLRU
-	// races memoizes Races(): the graph never changes, so the detector
-	// runs at most once per controller.
+
+	// gmu guards the parallel graph, built on first need, and races, the
+	// memoized Races(): the log never changes, so the graph is built and
+	// the detector runs at most once per controller.
+	gmu       sync.Mutex
+	pgraph    *parallel.Graph
 	races     []*race.Race
 	racesDone bool
 }
@@ -113,8 +116,10 @@ type Config struct {
 
 // New builds a controller from the compiled artifacts and an execution's
 // logs; cfg says how the execution ended and tunes the debugging phase.
-// Per-process work (emulator construction, the parallel graph's pass 1)
-// fans out across the configured worker pool.
+// It builds no graph: the parallel dynamic graph is built on first need
+// (Parallel, Races, ResolveInitial, DeadlockReport), and each interval's
+// dynamic graph on its first query. Emulator construction fans out
+// across the configured worker pool.
 func New(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *Controller {
 	bound := cfg.CacheBound
 	if bound == 0 {
@@ -161,12 +166,6 @@ func New(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *Controller
 	for _, em := range c.emus {
 		em.SetPool(c.epool)
 	}
-	c.pgraph = parallel.BuildWithPool(pl, len(art.Prog.Globals), c.pool)
-	names := make([]string, len(art.Prog.Globals))
-	for gid, def := range art.Prog.Globals {
-		names[gid] = def.Name
-	}
-	c.pgraph.VarNames = names
 	sc.End()
 	return c
 }
@@ -198,17 +197,40 @@ func (c *Controller) Emulations() int64 {
 // NumProcs returns the number of processes in the execution.
 func (c *Controller) NumProcs() int { return c.Log.NumProcs() }
 
-// Parallel returns the parallel dynamic graph.
-func (c *Controller) Parallel() *parallel.Graph { return c.pgraph }
+// Parallel returns the parallel dynamic graph, building it on the first
+// call that needs it (the "debug.graph" scope) unless Races already did.
+func (c *Controller) Parallel() *parallel.Graph {
+	c.gmu.Lock()
+	defer c.gmu.Unlock()
+	if c.pgraph == nil {
+		sc := c.obs.Scope("debug.graph")
+		c.pgraph = parallel.Build(c.Log, len(c.Art.Prog.Globals))
+		c.pgraph.VarNames = c.varNames()
+		sc.End()
+	}
+	return c.pgraph
+}
+
+// varNames names each shared variable by GlobalID, for race reports.
+func (c *Controller) varNames() []string {
+	names := make([]string, len(c.Art.Prog.Globals))
+	for gid, def := range c.Art.Prog.Globals {
+		names[gid] = def.Name
+	}
+	return names
+}
 
 // Emulator returns the per-process emulator.
 func (c *Controller) Emulator(pid int) *emulation.Emulator { return c.emus[pid] }
 
 // Races runs the race detector over the execution (§6.4) and memoizes
-// the result: the parallel graph is immutable post-run, so the detector
-// runs at most once per controller, on the first call — a session that
-// never asks for races (flowback) never pays for detection. The race set
-// is identical to race.Naive's.
+// the result: the log is immutable post-run, so the detector runs at most
+// once per controller, on the first call — a session that never asks for
+// races (flowback) never pays for detection. When no query has built the
+// parallel graph yet, the detector observes its build (race.BuildDetect),
+// one pass from log to races; otherwise it replays the built graph's
+// generation order (race.Detect). The race set is identical to
+// race.Naive's either way.
 //
 // The detector is filtered by the static conflict matrix of the
 // artifacts' one vet result (Artifacts.Vet: persisted, or computed once
@@ -217,11 +239,15 @@ func (c *Controller) Emulator(pid int) *emulation.Emulator { return c.emus[pid] 
 // The filter cannot change the result — the matrix over-approximates
 // every dynamic conflict — it only removes work.
 func (c *Controller) Races() []*race.Race {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.gmu.Lock()
+	defer c.gmu.Unlock()
 	if !c.racesDone {
-		mask := c.Art.Vet(c.obs).Conflicts.Mask()
-		c.races = race.Detect(c.pgraph, race.Opts{Mask: mask, Sink: c.obs})
+		o := race.Opts{Mask: c.Art.Vet(c.obs).Conflicts.Mask(), Sink: c.obs}
+		if c.pgraph == nil {
+			c.pgraph, c.races = race.BuildDetect(c.Log, len(c.Art.Prog.Globals), c.varNames(), o)
+		} else {
+			c.races = race.Detect(c.pgraph, o)
+		}
 		c.racesDone = true
 	}
 	return c.races
@@ -229,7 +255,7 @@ func (c *Controller) Races() []*race.Race {
 
 // DeadlockReport analyzes blocked processes (§6's deadlock-cause help).
 func (c *Controller) DeadlockReport() string {
-	info := c.pgraph.AnalyzeDeadlock()
+	info := c.Parallel().AnalyzeDeadlock()
 	return info.Report(
 		func(gid int) string {
 			if gid >= 0 && gid < len(c.Art.Prog.Globals) {
@@ -422,8 +448,9 @@ func (c *Controller) ResolveInitial(pid, prelogIdx, gid int) *CrossRef {
 		span = prelogIdx + res.RecordsConsumed
 	}
 	// The reading edges of this process overlapping the interval.
+	pg := c.Parallel()
 	var readEdge *parallel.InternalEdge
-	for _, e := range c.pgraph.EdgesOf(pid) {
+	for _, e := range pg.EdgesOf(pid) {
 		if e.EndRec < prelogIdx || e.StartRec > span {
 			continue
 		}
@@ -435,7 +462,7 @@ func (c *Controller) ResolveInitial(pid, prelogIdx, gid int) *CrossRef {
 	if readEdge == nil {
 		// The read may predate any sync op; use the process's first edge
 		// overlapping the interval.
-		for _, e := range c.pgraph.EdgesOf(pid) {
+		for _, e := range pg.EdgesOf(pid) {
 			if e.EndRec >= prelogIdx && e.StartRec <= span {
 				readEdge = e
 				break
@@ -445,15 +472,15 @@ func (c *Controller) ResolveInitial(pid, prelogIdx, gid int) *CrossRef {
 	if readEdge == nil {
 		return nil
 	}
-	writer := c.pgraph.LastWriterBefore(readEdge, gid)
+	writer := pg.LastWriterBefore(readEdge, gid)
 
 	// Collect unordered (racy) writers too.
 	var racy []*parallel.InternalEdge
-	for _, cand := range c.pgraph.Edges {
+	for _, cand := range pg.Edges {
 		if cand.PID == pid || !cand.Writes.Has(gid) {
 			continue
 		}
-		if c.pgraph.Simultaneous(cand, readEdge) {
+		if pg.Simultaneous(cand, readEdge) {
 			racy = append(racy, cand)
 		}
 	}

@@ -24,21 +24,17 @@ type FeedRecord struct {
 	FromGsn uint64
 	Reads   []int
 	Writes  []int
-
-	// Prebuilt read/write bitsets (optional): when non-nil they are used
-	// instead of Reads/Writes, letting a batch caller hoist the bitset
-	// construction into a parallel pass. The builder takes ownership.
-	rset, wset *bitset.Set
 }
 
 // Observer receives the builder's output as a stream, in causal
 // (clock-assignment) order: one callback per synchronization node, fired
-// the moment the node's vector clock is final. ev and edge carry
-// process-local IDs (ev.ID == ev.Idx, edge.ID == the process's edge
-// index); global renumbering only happens if the graph is materialized by
-// Finish. start is the edge's start node (nil for a process's first
-// edge). The callee must not retain FeedRecord-derived slices beyond the
-// call; the Event/InternalEdge pointers are stable and may be kept.
+// the moment the node's vector clock is final. Under a Builder, ev and
+// edge carry process-local IDs (ev.ID == ev.Idx, edge.ID == the process's
+// edge index), renumbered only if Finish materializes the graph; under
+// BuildObserved they carry their final global IDs. start is the edge's
+// start node (nil for a process's first edge). The callee must not retain
+// FeedRecord-derived slices beyond the call; the Event/InternalEdge
+// pointers are stable and may be kept.
 type Observer interface {
 	OnSync(ev *Event, edge *InternalEdge, start *Event)
 }
@@ -60,17 +56,29 @@ type pendingEv struct {
 
 // builderProc is one process's build state.
 type builderProc struct {
-	pid      int
-	events   []*Event        // retained nodes (retain mode only)
-	edges    []*InternalEdge // retained edges (retain mode only)
-	fromEv   []*Event        // per retained node: resolved causal source
+	nodes    []*pendingEv // retained nodes (retain mode only)
 	nEvents  int
 	nEdges   int
 	last     *Event // most recently created node (clocked or not)
 	startRec int    // record index where the open internal edge began
 
+	// unclocked[head:] is the FIFO of nodes waiting for a clock; the
+	// backing array is reused once it drains.
 	unclocked []*pendingEv
+	head      int
 	queued    bool // already on the builder's drain queue
+}
+
+// pending reports whether the process has a node waiting for a clock.
+func (p *builderProc) pending() bool { return p.head < len(p.unclocked) }
+
+// pop drops the FIFO's head.
+func (p *builderProc) pop() {
+	p.unclocked[p.head] = nil
+	p.head++
+	if p.head == len(p.unclocked) {
+		p.unclocked, p.head = p.unclocked[:0], 0
+	}
 }
 
 // Builder constructs the parallel dynamic graph incrementally from a
@@ -78,8 +86,9 @@ type builderProc struct {
 // an online event-stream module. Two modes:
 //
 //   - Retain mode (NewBuilder): every node and edge is kept and Finish
-//     stitches them into a *Graph identical to the batch Build's —
-//     Build itself is a thin wrapper over this mode.
+//     stitches them into a *Graph identical to Build's over the same
+//     log. Build itself counts the log first and carves every node from
+//     slabs (build.go); it shares the clocking below.
 //   - Stream mode (NewStreamBuilder): nodes and edges are handed to an
 //     Observer as soon as their vector clocks are final and are not
 //     retained; memory is bounded by the synchronization frontier, not
@@ -102,8 +111,7 @@ type Builder struct {
 	queue []*builderProc // procs with potentially-assignable pending heads
 
 	// byGsn maps a source event's gsn to its node. Retain mode keeps every
-	// gsn (pass 2 of the batch build resolved against the complete map).
-	// Stream mode keeps only gsns a future record can still reference —
+	// gsn. Stream mode keeps only gsns a future record can still reference —
 	// see retireSources for the per-op consumption rules.
 	byGsn map[uint64]*Event
 
@@ -129,6 +137,12 @@ type Builder struct {
 
 	clockLen int // preallocated clock length (0 = grow as processes appear)
 	finished bool
+
+	// clocks is Build's clock slab, carved in clocking order (nil: each
+	// clock is its own allocation). order records the nodes in the order
+	// their clocks became final (retain mode and Build).
+	clocks []int
+	order  []*Event
 }
 
 // NewBuilder returns a retain-mode builder: Feed it per-process record
@@ -136,11 +150,11 @@ type Builder struct {
 // per-process order), then Finish to materialize the graph.
 func NewBuilder(nShared int) *Builder {
 	return &Builder{
-		nShared:      nShared,
-		retain:       true,
-		byGsn:        make(map[uint64]*Event),
-		waiting:      make(map[uint64][]*pendingEv),
-		clockWaiters: make(map[*Event][]*builderProc),
+		nShared: nShared,
+		retain:  true,
+		byGsn:   make(map[uint64]*Event),
+		waiting: make(map[uint64][]*pendingEv),
+		order:   []*Event{},
 	}
 }
 
@@ -148,18 +162,17 @@ func NewBuilder(nShared int) *Builder {
 // the Builder doc for the feed-order requirement and memory bound.
 func NewStreamBuilder(nShared int, obs Observer) *Builder {
 	return &Builder{
-		nShared:      nShared,
-		byGsn:        make(map[uint64]*Event),
-		waiting:      make(map[uint64][]*pendingEv),
-		clockWaiters: make(map[*Event][]*builderProc),
-		semPending:   make(map[int]uint64),
-		obs:          obs,
+		nShared:    nShared,
+		byGsn:      make(map[uint64]*Event),
+		waiting:    make(map[uint64][]*pendingEv),
+		semPending: make(map[int]uint64),
+		obs:        obs,
 	}
 }
 
 // SetNumProcs hints the final process count so vector clocks can be
-// allocated at full length up front (the batch wrapper knows it from the
-// log; a live stream does not and lets clocks grow).
+// allocated at full length up front (a caller holding the whole log
+// knows it; a live stream does not and lets clocks grow).
 func (b *Builder) SetNumProcs(n int) {
 	if n > b.clockLen {
 		b.clockLen = n
@@ -169,7 +182,7 @@ func (b *Builder) SetNumProcs(n int) {
 // proc returns (creating if needed) the state for pid.
 func (b *Builder) proc(pid int) *builderProc {
 	for pid >= len(b.procs) {
-		b.procs = append(b.procs, &builderProc{pid: len(b.procs)})
+		b.procs = append(b.procs, &builderProc{})
 	}
 	return b.procs[pid]
 }
@@ -203,13 +216,6 @@ func (b *Builder) add(fr *FeedRecord) {
 		Gsn:  fr.Gsn,
 		From: -1,
 	}
-	rset, wset := fr.rset, fr.wset
-	if rset == nil {
-		rset = bitset.FromSlice(b.nShared, fr.Reads)
-	}
-	if wset == nil {
-		wset = bitset.FromSlice(b.nShared, fr.Writes)
-	}
 	var prevEnd EventID = -1
 	if p.last != nil {
 		prevEnd = p.last.ID
@@ -219,8 +225,8 @@ func (b *Builder) add(fr *FeedRecord) {
 		PID:      fr.PID,
 		Start:    prevEnd,
 		End:      ev.ID,
-		Reads:    rset,
-		Writes:   wset,
+		Reads:    bitset.FromSlice(b.nShared, fr.Reads),
+		Writes:   bitset.FromSlice(b.nShared, fr.Writes),
 		StartRec: p.startRec,
 		EndRec:   fr.RecIdx,
 	}
@@ -230,9 +236,7 @@ func (b *Builder) add(fr *FeedRecord) {
 	p.startRec = fr.RecIdx + 1
 	p.last = ev
 	if b.retain {
-		p.events = append(p.events, ev)
-		p.edges = append(p.edges, edge)
-		p.fromEv = append(p.fromEv, nil)
+		p.nodes = append(p.nodes, pe)
 	}
 
 	// In stream mode, the previous recv-gsn entry is only referenceable by
@@ -279,6 +283,13 @@ func (b *Builder) add(fr *FeedRecord) {
 		b.retireSources(fr, eph)
 	}
 
+	b.push(pe)
+}
+
+// push queues pe behind its process's earlier nodes and clocks every
+// node that has become assignable.
+func (b *Builder) push(pe *pendingEv) {
+	p := b.procs[pe.ev.PID]
 	p.unclocked = append(p.unclocked, pe)
 	b.enqueue(p)
 	b.drain()
@@ -338,7 +349,7 @@ func (b *Builder) retireSources(fr *FeedRecord, eph uint64) {
 
 // enqueue schedules a process for clock assignment.
 func (b *Builder) enqueue(p *builderProc) {
-	if !p.queued && len(p.unclocked) > 0 {
+	if !p.queued && p.pending() {
 		p.queued = true
 		b.queue = append(b.queue, p)
 	}
@@ -351,17 +362,20 @@ func (b *Builder) drain() {
 		p := b.queue[len(b.queue)-1]
 		b.queue = b.queue[:len(b.queue)-1]
 		p.queued = false
-		for len(p.unclocked) > 0 {
-			pe := p.unclocked[0]
+		for p.pending() {
+			pe := p.unclocked[p.head]
 			if pe.fromGsn != 0 {
 				break // source node not seen yet
 			}
 			if pe.fromEv != nil && pe.fromEv.Clock == nil {
 				// Source seen but not clocked: wake when it is.
+				if b.clockWaiters == nil {
+					b.clockWaiters = make(map[*Event][]*builderProc)
+				}
 				b.clockWaiters[pe.fromEv] = append(b.clockWaiters[pe.fromEv], p)
 				break
 			}
-			p.unclocked = p.unclocked[1:]
+			p.pop()
 			b.assign(pe)
 		}
 	}
@@ -382,7 +396,7 @@ func (b *Builder) assign(pe *pendingEv) {
 	if pe.fromEv != nil && len(pe.fromEv.Clock) > n {
 		n = len(pe.fromEv.Clock)
 	}
-	clock := make([]int, n)
+	clock := b.newClock(n)
 	if pe.prev != nil {
 		copy(clock, pe.prev.Clock)
 	}
@@ -390,15 +404,32 @@ func (b *Builder) assign(pe *pendingEv) {
 		join(clock, pe.fromEv.Clock)
 	}
 	clock[pid]++
-	pe.ev.Clock = clock
-	if b.retain {
-		b.procs[pid].fromEv[pe.ev.Idx] = pe.fromEv
-	}
+	b.publish(pe, clock)
 	if ws, ok := b.clockWaiters[pe.ev]; ok {
 		delete(b.clockWaiters, pe.ev)
 		for _, q := range ws {
 			b.enqueue(q)
 		}
+	}
+}
+
+// newClock returns a zero clock of length n, carved from the clock slab
+// while it lasts.
+func (b *Builder) newClock(n int) []int {
+	if len(b.clocks) < n {
+		return make([]int, n)
+	}
+	c := b.clocks[:n:n]
+	b.clocks = b.clocks[n:]
+	return c
+}
+
+// publish makes clock pe's final clock: the node joins the recorded
+// order and the observer sees it.
+func (b *Builder) publish(pe *pendingEv, clock []int) {
+	pe.ev.Clock = clock
+	if b.order != nil {
+		b.order = append(b.order, pe.ev)
 	}
 	if b.obs != nil {
 		b.obs.OnSync(pe.ev, pe.edge, pe.prev)
@@ -426,25 +457,17 @@ func (b *Builder) Counts() (events, edges []int) {
 // fallback. Stream-mode observers see the stragglers now.
 func (b *Builder) Flush() {
 	for _, p := range b.procs {
-		for _, pe := range p.unclocked {
-			if pe.fromGsn != 0 {
-				pe.fromGsn = 0 // unmatched source: no sync edge
-			}
+		for _, pe := range p.unclocked[p.head:] {
+			pe.fromGsn = 0 // unmatched source: no sync edge
 		}
 		b.enqueue(p)
 	}
 	b.drain()
 	for _, p := range b.procs {
-		for _, pe := range p.unclocked {
-			pe.ev.Clock = make([]int, b.clockLen)
-			if b.retain {
-				p.fromEv[pe.ev.Idx] = pe.fromEv
-			}
-			if b.obs != nil {
-				b.obs.OnSync(pe.ev, pe.edge, pe.prev)
-			}
+		for _, pe := range p.unclocked[p.head:] {
+			b.publish(pe, b.newClock(b.clockLen))
 		}
-		p.unclocked = nil
+		p.unclocked, p.head = nil, 0
 	}
 	for k := range b.waiting {
 		delete(b.waiting, k)
@@ -453,9 +476,11 @@ func (b *Builder) Flush() {
 
 // Finish flushes the builder and materializes the graph (retain mode
 // only): process-local IDs are renumbered into the contiguous global ID
-// space, sync edges are listed in the batch build's pid-then-record
-// order, and clocks are padded to the final process count — the result is
-// field-for-field identical to Build over the same records.
+// space, sync edges are listed in pid-then-record order, and clocks are
+// padded to the final process count — the result is field-for-field
+// identical to Build over the same records, whatever order respecting
+// per-process sequencing they were fed in. Only the recorded Order
+// follows the feed: it is generation order only if the feed was.
 func (b *Builder) Finish(pl *logging.ProgramLog) *Graph {
 	if !b.retain {
 		panic("parallel: Finish on a stream-mode Builder; use Flush")
@@ -472,41 +497,35 @@ func (b *Builder) Finish(pl *logging.ProgramLog) *Graph {
 	}
 	g := &Graph{
 		Log:     pl,
-		byGsn:   make(map[uint64]EventID),
 		nProcs:  nProcs,
 		nShared: b.nShared,
+		procOff: make([]int, nProcs+1),
+		order:   b.order,
 	}
-	g.byProc = make([][]EventID, nProcs)
-	g.edgesOf = make([][]*InternalEdge, nProcs)
-	for pid := 0; pid < len(b.procs); pid++ {
-		p := b.procs[pid]
-		evOff := EventID(len(g.Events))
-		edgeOff := len(g.Edges)
-		for _, ev := range p.events {
-			ev.ID += evOff
-			g.Events = append(g.Events, ev)
-			g.byProc[pid] = append(g.byProc[pid], ev.ID)
-			if ev.Gsn != 0 {
-				g.byGsn[ev.Gsn] = ev.ID
+	for pid := 0; pid < nProcs; pid++ {
+		off := len(g.Events)
+		if pid < len(b.procs) {
+			for _, pe := range b.procs[pid].nodes {
+				ev, e := pe.ev, pe.edge
+				ev.ID += EventID(off)
+				e.ID += off
+				if e.Start >= 0 {
+					e.Start += EventID(off)
+				}
+				e.End += EventID(off)
+				g.Events = append(g.Events, ev)
+				g.Edges = append(g.Edges, e)
 			}
 		}
-		for _, e := range p.edges {
-			e.ID += edgeOff
-			if e.Start >= 0 {
-				e.Start += evOff
-			}
-			e.End += evOff
-			g.Edges = append(g.Edges, e)
-		}
-		g.edgesOf[pid] = p.edges
+		g.procOff[pid+1] = len(g.Events)
 	}
 	// Sync edges in pid-then-record order, after renumbering so both
 	// endpoints carry global IDs.
 	for _, p := range b.procs {
-		for idx, ev := range p.events {
-			if src := p.fromEv[idx]; src != nil {
-				ev.From = src.ID
-				g.SyncEdges = append(g.SyncEdges, [2]EventID{src.ID, ev.ID})
+		for _, pe := range p.nodes {
+			if src := pe.fromEv; src != nil {
+				pe.ev.From = src.ID
+				g.SyncEdges = append(g.SyncEdges, [2]EventID{src.ID, pe.ev.ID})
 			}
 		}
 	}
@@ -518,32 +537,4 @@ func (b *Builder) Finish(pl *logging.ProgramLog) *Graph {
 		}
 	}
 	return g
-}
-
-// feedOf converts one retained book into the builder's feed, aliasing the
-// records' read/write slices (safe: retained logs are immutable) and
-// prebuilding the bitsets so a pooled caller hoists that work into the
-// parallel pass.
-func feedOf(pid int, book *logging.Book, nShared int) []FeedRecord {
-	var out []FeedRecord
-	for ri, r := range book.Records {
-		switch r.Kind {
-		case logging.RecSync, logging.RecStart, logging.RecExit:
-			out = append(out, FeedRecord{
-				PID:     pid,
-				RecIdx:  ri,
-				Kind:    r.Kind,
-				Op:      r.Op,
-				Obj:     r.Obj,
-				Stmt:    r.Stmt,
-				Gsn:     r.Gsn,
-				FromGsn: r.FromGsn,
-				Reads:   r.Reads,
-				Writes:  r.Writes,
-				rset:    bitset.FromSlice(nShared, r.Reads),
-				wset:    bitset.FromSlice(nShared, r.Writes),
-			})
-		}
-	}
-	return out
 }

@@ -17,7 +17,6 @@ import (
 	"ppd/internal/ast"
 	"ppd/internal/bitset"
 	"ppd/internal/logging"
-	"ppd/internal/sched"
 )
 
 // EventID identifies a synchronization node globally.
@@ -68,43 +67,13 @@ type Graph struct {
 	// SyncEdges lists (from, to) event pairs (§6.2).
 	SyncEdges [][2]EventID
 
-	byGsn   map[uint64]EventID
-	byProc  [][]EventID // events per process, in order
-	edgesOf [][]*InternalEdge
+	// procOff[pid] is the first global ID of process pid's events and
+	// edges (both are contiguous per process in pid order, and each node
+	// ends one edge); procOff[nProcs] is the count.
+	procOff []int
+	order   []*Event // the order the builder clocked the nodes
 	nProcs  int
 	nShared int
-}
-
-// Build constructs the graph from an execution's logs. nShared is the size
-// of the GlobalID space (for the read/write bitsets). Build is a thin
-// wrapper over the incremental Builder: each book is converted to the
-// builder's feed on the shared worker pool (the read/write bitsets — the
-// heavy part of extraction — are built there), then fed in pid order. The
-// result is identical to the fully-sequential build — the builder numbers
-// each process's events and edges contiguously and Finish renumbers by
-// per-process offsets in pid order, reproducing the exact global IDs.
-func Build(pl *logging.ProgramLog, nShared int) *Graph {
-	return build(pl, nShared, sched.Shared())
-}
-
-// BuildWithPool is Build fanning out on the caller's pool instead of the
-// shared one — the Controller uses it so its configured worker bound (and
-// pool observability) covers graph construction too.
-func BuildWithPool(pl *logging.ProgramLog, nShared int, pool *sched.Pool) *Graph {
-	return build(pl, nShared, pool)
-}
-
-func build(pl *logging.ProgramLog, nShared int, pool *sched.Pool) *Graph {
-	nProcs := pl.NumProcs()
-	feeds := sched.Map(pool, nProcs, func(pid int) []FeedRecord {
-		return feedOf(pid, pl.Books[pid], nShared)
-	})
-	b := NewBuilder(nShared)
-	b.SetNumProcs(nProcs)
-	for _, feed := range feeds {
-		b.Feed(feed)
-	}
-	return b.Finish(pl)
 }
 
 func join(dst, src []int) {
@@ -153,15 +122,23 @@ func (g *Graph) Simultaneous(e1, e2 *InternalEdge) bool {
 	return !g.EdgeHB(e1, e2) && !g.EdgeHB(e2, e1)
 }
 
-// EdgesOf returns the internal edges of one process, in order. The
-// per-process index is built during Build, so this is O(1) — it sits on
-// the controller's cross-process resolution path.
+// EdgesOf returns the internal edges of one process, in order: a window
+// of Edges, so this is O(1) — it sits on the controller's cross-process
+// resolution path.
 func (g *Graph) EdgesOf(pid int) []*InternalEdge {
-	if pid < 0 || pid >= len(g.edgesOf) {
+	if pid < 0 || pid >= g.nProcs {
 		return nil
 	}
-	return g.edgesOf[pid]
+	lo, hi := g.procOff[pid], g.procOff[pid+1]
+	return g.Edges[lo:hi:hi]
 }
+
+// Order returns the nodes in the order the builder clocked them. For a
+// graph from Build that is generation order — sync nodes by Gsn, each
+// spawned process's start right after its spawn, each exit after its
+// predecessor's spawned starts — the order race.Frontier needs. A graph a
+// Builder finished is in generation order only if its feed was.
+func (g *Graph) Order() []*Event { return g.order }
 
 // NumProcs returns the number of processes.
 func (g *Graph) NumProcs() int { return g.nProcs }
@@ -194,8 +171,7 @@ func (g *Graph) String() string {
 	var sb strings.Builder
 	for pid := 0; pid < g.nProcs; pid++ {
 		fmt.Fprintf(&sb, "P%d:", pid+1)
-		for _, eid := range g.byProc[pid] {
-			ev := g.Events[eid]
+		for _, ev := range g.Events[g.procOff[pid]:g.procOff[pid+1]] {
 			switch ev.Kind {
 			case logging.RecStart:
 				fmt.Fprintf(&sb, " start")

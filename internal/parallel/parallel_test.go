@@ -8,7 +8,6 @@ import (
 	"ppd/internal/ast"
 	"ppd/internal/compile"
 	"ppd/internal/logging"
-	"ppd/internal/sched"
 	"ppd/internal/vm"
 )
 
@@ -569,61 +568,6 @@ func main() { spawn w(); var x = recv(c); P(done); print(x); }`,
 		if from.Gsn != 0 && to.Gsn != 0 && from.Gsn >= to.Gsn {
 			t.Errorf("edge %d->%d violates gsn order (%d >= %d)",
 				pair[0], pair[1], from.Gsn, to.Gsn)
-		}
-	}
-}
-
-// TestBuildParallelMatchesSequential pins the determinism contract of the
-// pooled pass 1: whatever the worker count, the stitched graph must be
-// byte-identical to a one-worker (sequential) build — same event and edge
-// IDs, same clocks, same rendering.
-func TestBuildParallelMatchesSequential(t *testing.T) {
-	src := `
-shared a; shared b;
-sem m = 1;
-sem done = 0;
-func w1() { P(m); a = a + 1; V(m); b = 9; V(done); }
-func w2() { P(m); a = a * 2; V(m); V(done); }
-func w3() { b = b + a; V(done); }
-func main() {
-	spawn w1();
-	spawn w2();
-	spawn w3();
-	P(done); P(done); P(done);
-	print(a + b);
-}`
-	art, err := compile.Compile(source.NewFile("det.mpl", src), compile.Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: 1})
-	if err := v.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ref := build(v.Log, len(art.Prog.Globals), sched.New(1))
-	for _, workers := range []int{2, 3, 8} {
-		g := build(v.Log, len(art.Prog.Globals), sched.New(workers))
-		if got, want := g.String(), ref.String(); got != want {
-			t.Fatalf("workers=%d: graph rendering differs\ngot:\n%s\nwant:\n%s", workers, got, want)
-		}
-		if len(g.Events) != len(ref.Events) || len(g.Edges) != len(ref.Edges) {
-			t.Fatalf("workers=%d: %d events/%d edges, want %d/%d",
-				workers, len(g.Events), len(g.Edges), len(ref.Events), len(ref.Edges))
-		}
-		for i, ev := range g.Events {
-			re := ref.Events[i]
-			if ev.ID != re.ID || ev.PID != re.PID || ev.Idx != re.Idx ||
-				ev.Gsn != re.Gsn || ev.From != re.From || !clockEqual(ev.Clock, re.Clock) {
-				t.Fatalf("workers=%d: event %d differs: %+v vs %+v", workers, i, ev, re)
-			}
-		}
-		for i, e := range g.Edges {
-			re := ref.Edges[i]
-			if e.ID != re.ID || e.PID != re.PID || e.Start != re.Start || e.End != re.End ||
-				e.StartRec != re.StartRec || e.EndRec != re.EndRec ||
-				!e.Reads.Equal(re.Reads) || !e.Writes.Equal(re.Writes) {
-				t.Fatalf("workers=%d: edge %d differs: %+v vs %+v", workers, i, e, re)
-			}
 		}
 	}
 }

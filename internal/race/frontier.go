@@ -11,17 +11,17 @@ import (
 type edgeRef struct {
 	e          *parallel.InternalEdge
 	start, end *parallel.Event // start nil for a process's first edge
+
+	// stamp is the sequence number (FrontierStats.Events) of the latest
+	// node whose edge was tested against this one: a pair sharing several
+	// variables meets in several buckets but is tested once.
+	stamp int64
 }
 
 // refChunk is how many edgeRefs one allocation carves. A chunk stays
 // reachable while any of its refs is unretired; retired refs hold no
 // pointers, so a pinned chunk costs its own bytes only.
 const refChunk = 128
-
-// edgePair identifies a canonically oriented cross-process edge pair.
-type edgePair struct {
-	pid1, id1, pid2, id2 int
-}
 
 // FrontierStats tallies one Frontier's work.
 type FrontierStats struct {
@@ -54,14 +54,16 @@ type FrontierStats struct {
 // classified exactly once. A process reached late breaks the second case:
 // walking the nodes in pid order loses races.
 //
-// Two callers feed it: Detect walks a finished graph (walk), and the
-// online pipeline (package stream) is the Observer of a stream-mode
-// parallel.Builder, whose clock-assignment order is generation order.
-// Not safe for concurrent use.
+// Three callers feed it: BuildDetect has it observe parallel.Build's
+// pass, Detect replays a finished graph's recorded order, and the online
+// pipeline (package stream) is the Observer of a stream-mode
+// parallel.Builder; each clocks nodes in generation order. Classification
+// allocates nothing per race: races and their variable lists come from
+// the classifier's chunks and arenas. Not safe for concurrent use.
 type Frontier struct {
-	mask     *bitset.Set
-	varNames []string
-	onRace   func(*Race)
+	mask   *bitset.Set
+	cls    classifier
+	onRace func(*Race)
 
 	last    []*parallel.Event // latest node per process
 	exited  []bool            // process has added its exit node
@@ -80,10 +82,6 @@ type Frontier struct {
 	dead    []int        // retired refs still in a variable's two buckets
 	pruned  *bitset.Set  // touched variables the mask kept out
 
-	// seen marks pairs that already produced races, so a pair sharing
-	// several variables is classified once (all three kinds at first
-	// contact). Bounded by the race count: ordered pairs never enter.
-	seen  map[edgePair]bool
 	races []*Race
 
 	width int // unretired edges now
@@ -99,13 +97,13 @@ type Frontier struct {
 // the edges still carry the IDs they arrived with.
 func NewFrontier(nShared int, mask *bitset.Set, varNames []string, onRace func(*Race)) *Frontier {
 	return &Frontier{
-		mask:     mask,
-		varNames: varNames,
-		onRace:   onRace,
-		readers:  make([][]*edgeRef, nShared),
-		writers:  make([][]*edgeRef, nShared),
-		dead:     make([]int, nShared),
-		pruned:   bitset.New(nShared),
+		mask:    mask,
+		cls:     classifier{varNames: varNames},
+		onRace:  onRace,
+		readers: make([][]*edgeRef, nShared),
+		writers: make([][]*edgeRef, nShared),
+		dead:    make([]int, nShared),
+		pruned:  bitset.New(nShared),
 	}
 }
 
@@ -157,8 +155,8 @@ func (f *Frontier) OnSync(ev *parallel.Event, edge *parallel.InternalEdge, start
 	f.retire(pid)
 }
 
-// Races returns the races classified so far, in discovery order;
-// Canonicalize puts them in report order.
+// Races returns the races classified so far, in discovery order, each
+// pair once; Canonicalize puts them in report order.
 func (f *Frontier) Races() []*Race { return f.races }
 
 // Stats returns the frontier's tallies so far.
@@ -171,14 +169,20 @@ func (f *Frontier) Stats() FrontierStats {
 // indexed reports whether the mask lets v into the index.
 func (f *Frontier) indexed(v int) bool { return f.mask == nil || f.mask.Has(v) }
 
-// checkAgainst tests er against every unretired edge in bucket
-// (same-process pairs and already-classified pairs skip early).
+// checkAgainst tests er against every unretired edge in bucket.
+// Same-process pairs skip early, and so does a pair already tested for
+// this node: its other shared variable's bucket came first. Every pair
+// counts in Pairs, as a candidate the index produced.
 func (f *Frontier) checkAgainst(bucket []*edgeRef, er *edgeRef) {
 	for _, other := range bucket {
 		if other.e == nil || other.e.PID == er.e.PID {
 			continue // retired, or same process
 		}
 		f.stats.Pairs++
+		if other.stamp == f.stats.Events {
+			continue
+		}
+		other.stamp = f.stats.Events
 		if !simultaneous(other, er) {
 			continue
 		}
@@ -189,22 +193,11 @@ func (f *Frontier) checkAgainst(bucket []*edgeRef, er *edgeRef) {
 		if a.e.PID > b.e.PID || (a.e.PID == b.e.PID && a.e.ID > b.e.ID) {
 			a, b = b, a
 		}
-		key := edgePair{a.e.PID, a.e.ID, b.e.PID, b.e.ID}
-		if f.seen[key] {
-			continue
-		}
-		rs := CheckOrientedPair(a.e, b.e, f.varNames)
-		if len(rs) == 0 {
-			continue // unreachable via a shared bucket, kept for safety
-		}
-		if f.seen == nil {
-			f.seen = make(map[edgePair]bool)
-		}
-		f.seen[key] = true
-		f.races = append(f.races, rs...)
-		f.stats.Online += int64(len(rs))
+		n := len(f.races)
+		f.races = f.cls.check(f.races, a.e, b.e)
+		f.stats.Online += int64(len(f.races) - n)
 		if f.onRace != nil {
-			for _, r := range rs {
+			for _, r := range f.races[n:] {
 				f.onRace(r)
 			}
 		}

@@ -12,13 +12,14 @@
 // nodes in generation order, tests each internal edge only against the
 // unretired edges that share a variable with it (an O(P) vector-clock
 // check each), and retires edges the happens-before frontier has passed.
-// Detect runs it over a finished graph; package stream runs it online,
-// while the program runs. Experiment E8 benchmarks Detect against Naive.
+// BuildDetect runs it as the graph is built, Detect over a finished
+// graph, and package stream online, while the program runs. Experiment
+// E8 benchmarks Detect against Naive.
 package race
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -65,14 +66,17 @@ type Race struct {
 // GlobalIDs otherwise (in fmt's %v form, "[0 2]").
 func (r *Race) VarNames() string {
 	var sb strings.Builder
-	r.writeVarNames(&sb)
+	WriteVars(&sb, r.Vars, r.Names)
 	return sb.String()
 }
 
-// writeVarNames writes VarNames' rendering to sb.
-func (r *Race) writeVarNames(sb *strings.Builder) {
-	if len(r.Names) == len(r.Vars) && len(r.Names) > 0 {
-		for i, name := range r.Names {
+// WriteVars writes a race's variables as reports print them: names,
+// comma-separated, when they cover vars, else the GlobalIDs in fmt's %v
+// form ("[0 2]"). Race reports and package stream's live race lines share
+// it.
+func WriteVars(sb *strings.Builder, vars []int, names []string) {
+	if len(names) == len(vars) && len(names) > 0 {
+		for i, name := range names {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -81,83 +85,110 @@ func (r *Race) writeVarNames(sb *strings.Builder) {
 		return
 	}
 	sb.WriteByte('[')
-	for i, v := range r.Vars {
+	for i, v := range vars {
 		if i > 0 {
 			sb.WriteByte(' ')
 		}
-		writeInt(sb, v)
+		WriteInt(sb, v)
 	}
 	sb.WriteByte(']')
 }
 
-// writeInt writes v in decimal without fmt's reflection and boxing.
-func writeInt(sb *strings.Builder, v int) {
+// WriteInt writes v in decimal without fmt's reflection and boxing.
+func WriteInt(sb *strings.Builder, v int) {
 	var num [20]byte
 	sb.Write(strconv.AppendInt(num[:0], int64(v), 10))
 }
 
 // String renders the race for reports.
 func (r *Race) String() string {
-	return fmt.Sprintf("%s race between P%d edge %d and P%d edge %d on %s",
-		r.Kind, r.E1.PID+1, r.E1.ID, r.E2.PID+1, r.E2.ID, r.VarNames())
+	var sb strings.Builder
+	sb.Grow(reportLineBytes)
+	sb.WriteString(r.Kind.String())
+	sb.WriteString(" race between P")
+	WriteInt(&sb, r.E1.PID+1)
+	sb.WriteString(" edge ")
+	WriteInt(&sb, r.E1.ID)
+	sb.WriteString(" and P")
+	WriteInt(&sb, r.E2.PID+1)
+	sb.WriteString(" edge ")
+	WriteInt(&sb, r.E2.ID)
+	sb.WriteString(" on ")
+	WriteVars(&sb, r.Vars, r.Names)
+	return sb.String()
 }
 
-// pairKey canonicalizes a race for deduplication: the edge pair in ID
-// order plus the conflict kind. The variables in conflict are fully
-// determined by (pair, kind) — the bitset intersection is deterministic —
-// so a comparable struct suffices and the dedup map never touches
-// fmt.Sprintf.
-type pairKey struct {
-	a, b int
-	kind Conflict
+// raceChunk is how many Races one allocation carves, and arenaChunk how
+// many variables (or names) one arena allocation holds before the next
+// starts.
+const (
+	raceChunk  = 128
+	arenaChunk = 1024
+)
+
+// classifier applies Definition 6.3 to simultaneous edge pairs and carves
+// the races it finds from shared storage: Races from raceChunk-element
+// chunks, their Vars and Names from arenas. Each Vars and Names slice is
+// capped with a full slice expression, so a caller's append copies
+// instead of clobbering the neighbour. varNames, when non-nil, resolves
+// conflict variables to source names (Graph.VarNames).
+type classifier struct {
+	varNames []string
+	races    []Race   // the current chunk's unused tail
+	vars     []int    // the current variable arena
+	names    []string // the current name arena
 }
 
-// key canonicalizes a race for deduplication.
-func (r *Race) key() pairKey {
-	a, b := r.E1.ID, r.E2.ID
-	if a > b {
-		a, b = b, a
+// check appends to out the races of the pair (e1, e2), at most one per
+// conflict kind. The caller has put the pair in canonical order — final
+// global ID order — so a conflict is classified the same way regardless
+// of discovery order. A streamed edge carries a process-local ID, so raw
+// ID order would mis-orient a cross-process pair; (PID, ID) order equals
+// final global ID order, and the Frontier orients by that.
+func (c *classifier) check(out []*Race, e1, e2 *parallel.InternalEdge) []*Race {
+	out = c.conflict(out, e1, e2, WriteWrite, e1.Writes, e2.Writes)
+	out = c.conflict(out, e1, e2, WriteRead, e1.Writes, e2.Reads)
+	return c.conflict(out, e1, e2, ReadWrite, e1.Reads, e2.Writes)
+}
+
+// conflict appends the race of kind on a ∩ b, if the intersection is not
+// empty. The intersection goes straight into the variable arena.
+func (c *classifier) conflict(out []*Race, e1, e2 *parallel.InternalEdge, kind Conflict, a, b *bitset.Set) []*Race {
+	if len(c.vars) >= arenaChunk {
+		c.vars = make([]int, 0, arenaChunk)
 	}
-	return pairKey{a, b, r.Kind}
-}
-
-// CheckOrientedPair applies Definition 6.3 to a pair of simultaneous
-// edges, returning the races found (possibly several kinds). The caller
-// has put the pair in canonical order — final global ID order — so a
-// conflict is classified the same way regardless of discovery order. A
-// streamed edge carries a process-local ID, so raw ID order would
-// mis-orient a cross-process pair; (PID, ID) order equals final global ID
-// order, and the Frontier orients by that. Each intersection is one fused
-// pass (bitset.Intersection). varNames, when non-nil, resolves conflict
-// variables to source names (Graph.VarNames).
-func CheckOrientedPair(e1, e2 *parallel.InternalEdge, varNames []string) []*Race {
-	mk := func(kind Conflict, inter *bitset.Set) *Race {
-		r := &Race{E1: e1, E2: e2, Kind: kind, Vars: inter.Elems()}
-		if varNames != nil {
-			r.Names = make([]string, len(r.Vars))
-			for i, v := range r.Vars {
-				r.Names[i] = varNames[v]
-			}
+	lo := len(c.vars)
+	c.vars = bitset.AppendIntersection(c.vars, a, b)
+	hi := len(c.vars)
+	if hi == lo {
+		return out
+	}
+	if len(c.races) == 0 {
+		c.races = make([]Race, raceChunk)
+	}
+	r := &c.races[0]
+	c.races = c.races[1:]
+	*r = Race{E1: e1, E2: e2, Kind: kind, Vars: c.vars[lo:hi:hi]}
+	if c.varNames != nil {
+		if len(c.names) >= arenaChunk {
+			c.names = make([]string, 0, arenaChunk)
 		}
-		return r
+		lo := len(c.names)
+		for _, v := range r.Vars {
+			c.names = append(c.names, c.varNames[v])
+		}
+		hi := len(c.names)
+		r.Names = c.names[lo:hi:hi]
 	}
-	var out []*Race
-	if inter, ok := bitset.Intersection(e1.Writes, e2.Writes); ok {
-		out = append(out, mk(WriteWrite, inter))
-	}
-	if inter, ok := bitset.Intersection(e1.Writes, e2.Reads); ok {
-		out = append(out, mk(WriteRead, inter))
-	}
-	if inter, ok := bitset.Intersection(e1.Reads, e2.Writes); ok {
-		out = append(out, mk(ReadWrite, inter))
-	}
-	return out
+	return append(out, r)
 }
 
 // Naive enumerates every pair of internal edges from different processes,
 // tests simultaneity, then conflicts. O(E² · (P + V/64)). Pairs come in
-// ID order, the canonical orientation.
+// ID order, the canonical orientation, and each pair once, so Naive never
+// emits a duplicate.
 func Naive(g *parallel.Graph) []*Race {
+	c := classifier{varNames: g.VarNames}
 	var out []*Race
 	for i := 0; i < len(g.Edges); i++ {
 		for j := i + 1; j < len(g.Edges); j++ {
@@ -168,10 +199,10 @@ func Naive(g *parallel.Graph) []*Race {
 			if !g.Simultaneous(e1, e2) {
 				continue
 			}
-			out = append(out, CheckOrientedPair(e1, e2, g.VarNames)...)
+			out = c.check(out, e1, e2)
 		}
 	}
-	return dedup(out)
+	return Canonicalize(out)
 }
 
 // Opts configures Detect. The zero value scans every variable with
@@ -193,125 +224,73 @@ type Opts struct {
 	Sink *obs.Sink
 }
 
-// Detect is the post-mortem race detector: it feeds the finished graph's
-// nodes to a Frontier in generation order (walk) and canonicalizes what
-// the frontier classifies. Each edge is tested only against the
-// unretired edges sharing a variable with it — the candidate set
-// Definition 6.3 can ever accept, cut by the happens-before frontier —
+// Detect is the post-mortem race detector over a finished graph: it feeds
+// the graph's nodes to a Frontier in the order the builder clocked them
+// (Graph.Order, generation order for a graph from parallel.Build) and
+// canonicalizes what the frontier classifies. Each edge is tested only
+// against the unretired edges sharing a variable with it — the candidate
+// set Definition 6.3 can ever accept, cut by the happens-before frontier —
 // so the result is identical to Naive's, slice order included, with or
-// without the mask.
+// without the mask. BuildDetect does the same work during the build.
 func Detect(g *parallel.Graph, o Opts) []*Race {
 	sc := o.Sink.Scope("debug.race")
 	defer sc.End()
 	f := NewFrontier(g.NumShared(), o.Mask, g.VarNames, nil)
-	feed(f, g, walk(g))
-	out := dedup(f.Races())
-	record(o.Sink, f.Stats(), len(out))
-	return out
-}
-
-// feed adds g's nodes to f in the given order, each with the internal
-// edge it terminates: Graph.Edges[i] ends at Graph.Events[i], since both
-// are numbered per process in pid order and every node ends one edge.
-func feed(f *Frontier, g *parallel.Graph, order []*parallel.Event) {
-	for _, ev := range order {
-		e := g.Edges[ev.ID]
+	for _, ev := range g.Order() {
+		e := g.Edges[ev.ID] // Edges[i] ends at Events[i]: each node ends one edge
 		var start *parallel.Event
 		if e.Start >= 0 {
 			start = g.Events[e.Start]
 		}
 		f.OnSync(ev, e, start)
 	}
+	return f.result(o.Sink)
 }
 
-// walk returns g's nodes in generation order, the order the Frontier
-// needs: sync nodes by Gsn (the order the VM logged them); a spawned
-// process's start node (Gsn 0, From = its spawn) right after its spawn,
-// so the process is live from the moment it exists; an exit node (Gsn 0)
-// after its in-process predecessor and that node's spawned starts — a
-// child must be live before its parent can exit. Nodes with no such
-// place, such as the root's start, go first. Every node comes after its
-// in-process predecessor and its From node.
-//
-// Each node gets the key 2·Gsn of its place, odd for exits, and a
-// counting sort orders the keys, ties in node order: a spawn's start
-// follows it because a child's pid, hence its node IDs, are higher. The VM
-// numbers gsns densely from 1, one per sync node, so the count array is
-// no longer than the graph; only a corrupt log numbers past that, and it
-// takes a comparison sort instead.
-func walk(g *parallel.Graph) []*parallel.Event {
-	evs := g.Events
-	key := make([]uint64, len(evs))
-	var maxKey uint64
-	for i, ev := range evs {
-		switch {
-		case ev.Kind == logging.RecStart && ev.From >= 0 && int(ev.From) < i && evs[ev.From].Kind == logging.RecSync:
-			key[i] = key[ev.From]
-		case ev.Kind == logging.RecExit && ev.Gsn == 0 && ev.Idx > 0:
-			key[i] = key[i-1] | 1
-		default:
-			key[i] = 2 * ev.Gsn
-		}
-		maxKey = max(maxKey, key[i])
-	}
-	order := make([]*parallel.Event, len(evs))
-	if maxKey > uint64(4*len(evs)) {
-		copy(order, evs)
-		sort.SliceStable(order, func(a, b int) bool { return key[order[a].ID] < key[order[b].ID] })
-		return order
-	}
-	at := make([]int, maxKey+2)
-	for _, k := range key {
-		at[k+1]++
-	}
-	for k := 1; k < len(at); k++ {
-		at[k] += at[k-1]
-	}
-	for i, k := range key {
-		order[at[k]] = evs[i]
-		at[k]++
-	}
-	return order
+// BuildDetect builds pl's parallel graph (parallel.BuildObserved) with a
+// Frontier observing the build, so race detection is part of the build's
+// one pass rather than a second walk. The graph carries varNames, and the
+// races equal Detect's over parallel.Build's graph.
+func BuildDetect(pl *logging.ProgramLog, nShared int, varNames []string, o Opts) (*parallel.Graph, []*Race) {
+	sc := o.Sink.Scope("debug.race")
+	defer sc.End()
+	f := NewFrontier(nShared, o.Mask, varNames, nil)
+	g := parallel.BuildObserved(pl, nShared, f)
+	g.VarNames = varNames
+	return g, f.result(o.Sink)
 }
 
-// record folds one detection run's tallies into the sink.
-func record(sink *obs.Sink, st FrontierStats, races int) {
-	if sink == nil {
-		return
+// result canonicalizes the frontier's races and folds its tallies into
+// sink.
+func (f *Frontier) result(sink *obs.Sink) []*Race {
+	out := Canonicalize(f.Races())
+	if sink != nil {
+		st := f.Stats()
+		sink.Counter("race.pairs").Add(st.Pairs)
+		sink.Counter("race.races").Add(int64(len(out)))
+		sink.Counter("race.buckets.pruned").Add(st.Pruned)
+		sink.Counter("race.runs").Inc()
 	}
-	sink.Counter("race.pairs").Add(st.Pairs)
-	sink.Counter("race.races").Add(int64(races))
-	sink.Counter("race.buckets.pruned").Add(st.Pruned)
-	sink.Counter("race.runs").Inc()
-}
-
-// Canonicalize dedups and sorts races into the canonical report order —
-// (E1.ID, E2.ID, Kind) ascending, first occurrence kept. Naive and Detect
-// apply it internally; the online pipeline applies it after renumbering
-// its retained edges into the global ID space, which is what makes its
-// final race set byte-identical to Naive's.
-func Canonicalize(rs []*Race) []*Race { return dedup(rs) }
-
-func dedup(rs []*Race) []*Race {
-	seen := make(map[pairKey]bool)
-	var out []*Race
-	for _, r := range rs {
-		k := r.key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].E1.ID != out[j].E1.ID {
-			return out[i].E1.ID < out[j].E1.ID
-		}
-		if out[i].E2.ID != out[j].E2.ID {
-			return out[i].E2.ID < out[j].E2.ID
-		}
-		return out[i].Kind < out[j].Kind
-	})
 	return out
+}
+
+// Canonicalize sorts races into the canonical report order — (E1.ID,
+// E2.ID, Kind) ascending — in place and returns them. Neither detector
+// emits a pair twice, so ordering is all it takes. Naive and Detect apply
+// it internally; the online pipeline applies it after renumbering its
+// retained edges into the global ID space, which is what makes its final
+// race set byte-identical to Naive's.
+func Canonicalize(rs []*Race) []*Race {
+	slices.SortFunc(rs, func(a, b *Race) int {
+		if c := cmp.Compare(a.E1.ID, b.E1.ID); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.E2.ID, b.E2.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Kind, b.Kind)
+	})
+	return rs
 }
 
 // reportLineBytes estimates one report line: the fixed text plus six
@@ -329,7 +308,7 @@ func Report(races []*Race, globalName func(int) string) string {
 	}
 	var sb strings.Builder
 	sb.Grow(32 + len(races)*reportLineBytes)
-	writeInt(&sb, len(races))
+	WriteInt(&sb, len(races))
 	sb.WriteString(" race(s) detected:\n")
 	for _, r := range races {
 		sb.WriteString("  ")
@@ -347,7 +326,7 @@ func Report(races []*Race, globalName func(int) string) string {
 				sb.WriteString(globalName(v))
 			}
 		} else {
-			r.writeVarNames(&sb)
+			WriteVars(&sb, r.Vars, r.Names)
 		}
 		sb.WriteByte('\n')
 	}
@@ -357,10 +336,10 @@ func Report(races []*Race, globalName func(int) string) string {
 // writeEdge writes one side of a report line: "P<pid> [events <start>..<end>]".
 func writeEdge(sb *strings.Builder, e *parallel.InternalEdge) {
 	sb.WriteByte('P')
-	writeInt(sb, e.PID+1)
+	WriteInt(sb, e.PID+1)
 	sb.WriteString(" [events ")
-	writeInt(sb, int(e.Start))
+	WriteInt(sb, int(e.Start))
 	sb.WriteString("..")
-	writeInt(sb, int(e.End))
+	WriteInt(sb, int(e.End))
 	sb.WriteByte(']')
 }

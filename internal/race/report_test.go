@@ -40,6 +40,13 @@ func reportFmt(races []*Race, globalName func(int) string) string {
 	return sb.String()
 }
 
+// stringFmt is the fmt-based Race.String the writer version replaced,
+// kept as its byte-for-byte reference.
+func stringFmt(r *Race) string {
+	return fmt.Sprintf("%s race between P%d edge %d and P%d edge %d on %s",
+		r.Kind, r.E1.PID+1, r.E1.ID, r.E2.PID+1, r.E2.ID, r.VarNames())
+}
+
 // reportWorkloads are the standard workloads plus the racy and
 // lock-guarded families and a two-variable racer, so the byte-identity
 // check sees long reports, multi-variable races, and race-free runs alike.
@@ -75,7 +82,7 @@ func logGraph(tb testing.TB, wl *workloads.Workload, quantum int, seed int64) (*
 // TestReportByteIdentical holds Report to the fmt reference across the
 // workloads × seeds × quantum {1, 3}, in all three naming modes: a namer,
 // nil over races carrying graph Names, and nil over races without names
-// (the "[0 2]" form).
+// (the "[0 2]" form). Each race's String is held to its fmt reference too.
 func TestReportByteIdentical(t *testing.T) {
 	multiVar := false
 	for _, wl := range reportWorkloads() {
@@ -88,6 +95,11 @@ func TestReportByteIdentical(t *testing.T) {
 				namer := func(gid int) string { return names[gid] }
 				for _, r := range bare {
 					multiVar = multiVar || len(r.Vars) > 1
+				}
+				for _, r := range append(bare, named...) {
+					if got, want := r.String(), stringFmt(r); got != want {
+						t.Errorf("%s q%d seed %d: String = %q, fmt reference %q", wl.Name, quantum, seed, got, want)
+					}
 				}
 				for _, tc := range []struct {
 					label string
@@ -113,7 +125,8 @@ func TestReportByteIdentical(t *testing.T) {
 
 // TestReportByteIdenticalEdgeCases covers the renderings the workloads
 // may not reach: no conflict variables, names that do not cover Vars, an
-// unknown conflict kind, and large event numbers.
+// unknown conflict kind, and large event numbers — in Report and in
+// Race.String.
 func TestReportByteIdenticalEdgeCases(t *testing.T) {
 	e1 := &parallel.InternalEdge{ID: 3, PID: 0, Start: -1, End: 123456789, Reads: bitset.New(4), Writes: bitset.New(4)}
 	e2 := &parallel.InternalEdge{ID: 9, PID: 11, Start: 40, End: 41, Reads: bitset.New(4), Writes: bitset.New(4)}
@@ -132,6 +145,9 @@ func TestReportByteIdenticalEdgeCases(t *testing.T) {
 	for _, r := range races {
 		if got, want := r.VarNames(), reportFmt([]*Race{r}, nil); !strings.HasSuffix(want, " on "+got+"\n") {
 			t.Errorf("VarNames = %q, reference line %q", got, want)
+		}
+		if got, want := r.String(), stringFmt(r); got != want {
+			t.Errorf("String = %q, fmt reference %q", got, want)
 		}
 	}
 }

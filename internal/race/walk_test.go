@@ -69,22 +69,41 @@ func walkCases(t *testing.T) []walkCase {
 // detectIn runs the frontier over g's nodes in the given order.
 func detectIn(g *parallel.Graph, order []*parallel.Event, mask *bitset.Set) string {
 	f := NewFrontier(g.NumShared(), mask, g.VarNames, nil)
-	feed(f, g, order)
-	return renderAll(dedup(f.Races()))
+	for _, ev := range order {
+		e := g.Edges[ev.ID]
+		var start *parallel.Event
+		if e.Start >= 0 {
+			start = g.Events[e.Start]
+		}
+		f.OnSync(ev, e, start)
+	}
+	return renderAll(Canonicalize(f.Races()))
 }
 
-// TestWalkOrder pins the order Detect feeds the frontier: every node once,
+// scaleGsns multiplies every gsn in pl by k, in place: k > 1 makes the
+// gsns sparse, and scaling back by 1/k restores them.
+func scaleGsns(pl *logging.ProgramLog, mul, div uint64) {
+	for _, book := range pl.Books {
+		for _, r := range book.Records {
+			r.Gsn = r.Gsn * mul / div
+			r.FromGsn = r.FromGsn * mul / div
+		}
+	}
+}
+
+// TestWalkOrder pins the order parallel.Build clocks the nodes in, which
+// the graph records (Graph.Order) and Detect replays: every node once,
 // each after its in-process predecessor and its From node, a spawned
 // process's start right after its spawn, and each node ending the edge
-// feed hands the frontier. The comparison-sort fallback for gsns past the
-// node count yields the same order, and the frontier fed this order
+// Detect hands the frontier. The comparison-sort fallback for gsns past
+// the node count yields the same order, and the frontier fed this order
 // matches Naive, masked and unmasked.
 func TestWalkOrder(t *testing.T) {
 	for _, tc := range walkCases(t) {
 		g := tc.g
-		order := walk(g)
+		order := g.Order()
 		if len(order) != len(g.Events) {
-			t.Fatalf("%s: walk visits %d of %d nodes", tc.name, len(order), len(g.Events))
+			t.Fatalf("%s: the build clocked %d of %d nodes", tc.name, len(order), len(g.Events))
 		}
 		pos := make([]int, len(g.Events))
 		for i := range pos {
@@ -92,7 +111,7 @@ func TestWalkOrder(t *testing.T) {
 		}
 		for i, ev := range order {
 			if pos[ev.ID] >= 0 {
-				t.Fatalf("%s: node %d visited twice", tc.name, ev.ID)
+				t.Fatalf("%s: node %d clocked twice", tc.name, ev.ID)
 			}
 			pos[ev.ID] = i
 		}
@@ -101,33 +120,29 @@ func TestWalkOrder(t *testing.T) {
 				t.Fatalf("%s: Edges[%d] ends at node %d", tc.name, ev.ID, e.End)
 			}
 			if ev.Idx > 0 && pos[ev.ID-1] > pos[ev.ID] {
-				t.Errorf("%s: node %d walked before its predecessor", tc.name, ev.ID)
+				t.Errorf("%s: node %d clocked before its predecessor", tc.name, ev.ID)
 			}
 			if ev.From >= 0 && pos[ev.From] > pos[ev.ID] {
-				t.Errorf("%s: node %d walked before its From node %d", tc.name, ev.ID, ev.From)
+				t.Errorf("%s: node %d clocked before its From node %d", tc.name, ev.ID, ev.From)
 			}
 			if ev.Kind == logging.RecStart && ev.From >= 0 && pos[ev.From]+1 != pos[ev.ID] {
 				t.Errorf("%s: start node %d not right after its spawn %d", tc.name, ev.ID, ev.From)
 			}
 		}
 
-		for _, ev := range g.Events {
-			ev.Gsn *= 1000
-		}
-		sorted := walk(g)
-		for _, ev := range g.Events {
-			ev.Gsn /= 1000
-		}
-		for i := range order {
-			if sorted[i] != order[i] {
-				t.Fatalf("%s: sparse gsns walk node %d at %d, dense at %d", tc.name, sorted[i].ID, i, pos[sorted[i].ID])
+		scaleGsns(g.Log, 1000, 1)
+		sparse := parallel.Build(g.Log, g.NumShared())
+		scaleGsns(g.Log, 1, 1000)
+		for i, ev := range sparse.Order() {
+			if ev.ID != order[i].ID {
+				t.Fatalf("%s: sparse gsns clock node %d at %d, dense at %d", tc.name, ev.ID, i, pos[ev.ID])
 			}
 		}
 
 		want := renderAll(Naive(g))
 		for _, m := range []*bitset.Set{nil, tc.mask} {
 			if got := detectIn(g, order, m); got != want {
-				t.Errorf("%s mask %v: walk diverges from Naive\ngot:\n%swant:\n%s", tc.name, m, got, want)
+				t.Errorf("%s mask %v: the build's order diverges from Naive\ngot:\n%swant:\n%s", tc.name, m, got, want)
 			}
 		}
 	}
@@ -146,7 +161,7 @@ func TestWalkOrderMutations(t *testing.T) {
 		"pid order": func(g *parallel.Graph) []*parallel.Event { return g.Events },
 		"late starts": func(g *parallel.Graph) []*parallel.Event {
 			var order []*parallel.Event
-			for _, ev := range walk(g) {
+			for _, ev := range g.Order() {
 				if ev.Kind == logging.RecStart && ev.From >= 0 && int(ev.ID)+1 < len(g.Events) && g.Events[ev.ID+1].PID == ev.PID {
 					continue // emitted with its successor below
 				}
@@ -158,7 +173,7 @@ func TestWalkOrderMutations(t *testing.T) {
 			return order
 		},
 		"exit before child": func(g *parallel.Graph) []*parallel.Event {
-			order := walk(g)
+			order := append([]*parallel.Event(nil), g.Order()...)
 			for i := 1; i+1 < len(order); i++ {
 				ev := order[i+1]
 				if ev.Kind == logging.RecExit && order[i].Kind == logging.RecStart && order[i-1].PID == ev.PID {
@@ -176,7 +191,7 @@ func TestWalkOrderMutations(t *testing.T) {
 			}
 		}
 		if diverged == 0 {
-			t.Errorf("%s: the frontier matched Naive on all %d runs; the walk order would not matter", name, len(cases))
+			t.Errorf("%s: the frontier matched Naive on all %d runs; the order would not matter", name, len(cases))
 		}
 		t.Logf("%s: diverges from Naive on %d of %d runs", name, diverged, len(cases))
 	}

@@ -1,12 +1,12 @@
 // Package sched is the shared worker pool: a small, bounded fan-out
-// primitive used by parallel graph construction (parallel.Build's
-// per-process feed extraction), the Controller's emulator construction,
-// and the preparatory phase's per-function passes (interproc, PDG,
-// progdb, code generation). Race detection does not fan out: it is one
-// pass of the happens-before frontier (race.Frontier).
+// primitive used by the Controller's emulator construction and the
+// preparatory phase's per-function passes (interproc, PDG, progdb, code
+// generation). The parallel graph's build and race detection do not fan
+// out: they are one sequential pass, the build observed by the
+// happens-before frontier (race.BuildDetect).
 //
-// Those analyses decompose into independent units (per-process log scans,
-// per-process emulators, per-function passes). sched exploits that: work
+// Those analyses decompose into independent units (per-process
+// emulators, per-function passes). sched exploits that: work
 // is split into at most Workers contiguous chunks, each chunk runs on its
 // own goroutine, and results are merged back in index order — so callers
 // get parallel speed with *deterministic* output, the product's core

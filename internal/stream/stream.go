@@ -24,7 +24,7 @@
 package stream
 
 import (
-	"fmt"
+	"strings"
 
 	"ppd/internal/bitset"
 	"ppd/internal/obs"
@@ -72,26 +72,29 @@ type RaceEvent struct {
 	Names []string
 }
 
-// String renders the event for live monitors.
+// String renders the event for live monitors, with race reports' writers
+// (race.WriteInt, race.WriteVars).
 func (ev RaceEvent) String() string {
-	vars := fmt.Sprintf("%v", ev.Vars)
-	if len(ev.Names) == len(ev.Vars) && len(ev.Names) > 0 {
-		vars = ""
-		for i, n := range ev.Names {
-			if i > 0 {
-				vars += ","
-			}
-			vars += n
-		}
-	}
-	return fmt.Sprintf("%s race: P%d edge %d vs P%d edge %d on %s",
-		ev.Kind, ev.PID1+1, ev.Edge1, ev.PID2+1, ev.Edge2, vars)
+	var sb strings.Builder
+	sb.Grow(64)
+	sb.WriteString(ev.Kind.String())
+	sb.WriteString(" race: P")
+	race.WriteInt(&sb, ev.PID1+1)
+	sb.WriteString(" edge ")
+	race.WriteInt(&sb, ev.Edge1)
+	sb.WriteString(" vs P")
+	race.WriteInt(&sb, ev.PID2+1)
+	sb.WriteString(" edge ")
+	race.WriteInt(&sb, ev.Edge2)
+	sb.WriteString(" on ")
+	race.WriteVars(&sb, ev.Vars, ev.Names)
+	return sb.String()
 }
 
 // Result is the pipeline's final output.
 type Result struct {
-	// Races is the canonical race set: deduped, renumbered into the
-	// global ID space, sorted — byte-identical (via race.Report) to
+	// Races is the canonical race set: renumbered into the global ID
+	// space, sorted — byte-identical (via race.Report) to
 	// race.Naive over the same records.
 	Races []*race.Race
 

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"ppd/internal/bitset"
@@ -142,6 +143,49 @@ func main() { spawn w(); spawn w(); }`},
 					}
 				}
 			})
+		}
+	}
+}
+
+// raceEventFmt is the fmt-based RaceEvent.String the writer version
+// replaced, kept as its byte-for-byte reference.
+func raceEventFmt(ev stream.RaceEvent) string {
+	vars := fmt.Sprintf("%v", ev.Vars)
+	if len(ev.Names) == len(ev.Vars) && len(ev.Names) > 0 {
+		vars = strings.Join(ev.Names, ",")
+	}
+	return fmt.Sprintf("%s race: P%d edge %d vs P%d edge %d on %s",
+		ev.Kind, ev.PID1+1, ev.Edge1, ev.PID2+1, ev.Edge2, vars)
+}
+
+// TestRaceEventString holds the live race lines (ppd watch, serve's
+// NDJSON stream) to the fmt reference: every online race of racy runs,
+// named and unnamed, plus the renderings those runs may not reach.
+func TestRaceEventString(t *testing.T) {
+	var events []stream.RaceEvent
+	for _, wl := range []*workloads.Workload{workloads.RacyCounter(3, 10, false), workloads.RacyTicker(3, 8)} {
+		cr := captureRun(t, wl.Name+".mpl", wl.Src, 1, 3)
+		for _, names := range [][]string{cr.names, nil} {
+			p := stream.New(stream.Config{
+				NShared:  len(cr.art.Prog.Globals),
+				VarNames: names,
+				OnRace:   func(ev stream.RaceEvent) { events = append(events, ev) },
+			})
+			p.Feed(cr.recs)
+			p.Finish()
+		}
+	}
+	if len(events) == 0 {
+		t.Fatal("the racy runs raced nowhere")
+	}
+	events = append(events,
+		stream.RaceEvent{Kind: race.WriteWrite, PID1: 0, Edge1: 123456789, PID2: 11, Edge2: 0},
+		stream.RaceEvent{Kind: race.ReadWrite, Vars: []int{1, 2}, Names: []string{"only"}},
+		stream.RaceEvent{Kind: race.Conflict(7), Vars: []int{2, 64}, Names: []string{"x", "y"}},
+	)
+	for _, ev := range events {
+		if got, want := ev.String(), raceEventFmt(ev); got != want {
+			t.Errorf("String = %q, fmt reference %q", got, want)
 		}
 	}
 }
