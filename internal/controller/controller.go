@@ -198,10 +198,15 @@ func (c *Controller) Emulations() int64 {
 func (c *Controller) NumProcs() int { return c.Log.NumProcs() }
 
 // Parallel returns the parallel dynamic graph, building it on the first
-// call that needs it (the "debug.graph" scope) unless Races already did.
+// call that needs it (the "debug.graph" scope).
 func (c *Controller) Parallel() *parallel.Graph {
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
+	return c.parallelLocked()
+}
+
+// parallelLocked is Parallel with gmu held.
+func (c *Controller) parallelLocked() *parallel.Graph {
 	if c.pgraph == nil {
 		sc := c.obs.Scope("debug.graph")
 		c.pgraph = parallel.Build(c.Log, len(c.Art.Prog.Globals))
@@ -226,11 +231,9 @@ func (c *Controller) Emulator(pid int) *emulation.Emulator { return c.emus[pid] 
 // Races runs the race detector over the execution (§6.4) and memoizes
 // the result: the log is immutable post-run, so the detector runs at most
 // once per controller, on the first call — a session that never asks for
-// races (flowback) never pays for detection. When no query has built the
-// parallel graph yet, the detector observes its build (race.BuildDetect),
-// one pass from log to races; otherwise it replays the built graph's
-// generation order (race.Detect). The race set is identical to
-// race.Naive's either way.
+// races (flowback) never pays for detection. The detector replays the
+// parallel graph's generation order (race.Detect), building the graph
+// first if no query has; the race set is identical to race.Naive's.
 //
 // The detector is filtered by the static conflict matrix of the
 // artifacts' one vet result (Artifacts.Vet: persisted, or computed once
@@ -243,11 +246,7 @@ func (c *Controller) Races() []*race.Race {
 	defer c.gmu.Unlock()
 	if !c.racesDone {
 		o := race.Opts{Mask: c.Art.Vet(c.obs).Conflicts.Mask(), Sink: c.obs}
-		if c.pgraph == nil {
-			c.pgraph, c.races = race.BuildDetect(c.Log, len(c.Art.Prog.Globals), c.varNames(), o)
-		} else {
-			c.races = race.Detect(c.pgraph, o)
-		}
+		c.races = race.Detect(c.parallelLocked(), o)
 		c.racesDone = true
 	}
 	return c.races

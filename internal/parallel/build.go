@@ -10,14 +10,6 @@ import (
 
 // Build constructs the graph from an execution's logs. nShared is the size
 // of the GlobalID space (for the read/write bitsets).
-func Build(pl *logging.ProgramLog, nShared int) *Graph {
-	return BuildObserved(pl, nShared, nil)
-}
-
-// BuildObserved is Build with obs watching: obs sees every node the moment
-// its clock is final, in generation order and with its final global IDs,
-// so an analysis such as race detection rides the build instead of
-// walking the finished graph again. obs may be nil.
 //
 // The build is one sequential pass over a counted log. A first scan counts
 // each process's synchronization nodes, which fixes every node's global ID
@@ -28,8 +20,9 @@ func Build(pl *logging.ProgramLog, nShared int) *Graph {
 // The nodes are then clocked in generation order (genOrder), the order a
 // logging tap would have seen them, so a node's predecessor and source are
 // always clocked first; the Builder's pending queues cover a corrupt log
-// that breaks that. The graph equals Finish's over the same log.
-func BuildObserved(pl *logging.ProgramLog, nShared int, obs Observer) *Graph {
+// that breaks that. The graph records that order (Graph.Order) for race
+// detection, and otherwise equals Finish's over the same log.
+func Build(pl *logging.ProgramLog, nShared int) *Graph {
 	nProcs := pl.NumProcs()
 	procOff := make([]int, nProcs+1)
 	var maxGsn uint64
@@ -53,7 +46,6 @@ func BuildObserved(pl *logging.ProgramLog, nShared int, obs Observer) *Graph {
 	procs := make([]builderProc, nProcs)
 	b := &Builder{
 		nShared:  nShared,
-		obs:      obs,
 		procs:    make([]*builderProc, nProcs),
 		clockLen: nProcs,
 		clocks:   make([]int, n*nProcs),

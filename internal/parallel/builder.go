@@ -140,7 +140,7 @@ type Builder struct {
 
 	// clocks is Build's clock slab, carved in clocking order (nil: each
 	// clock is its own allocation). order records the nodes in the order
-	// their clocks became final (retain mode and Build).
+	// their clocks became final (Build only: its feed is generation order).
 	clocks []int
 	order  []*Event
 }
@@ -154,7 +154,6 @@ func NewBuilder(nShared int) *Builder {
 		retain:  true,
 		byGsn:   make(map[uint64]*Event),
 		waiting: make(map[uint64][]*pendingEv),
-		order:   []*Event{},
 	}
 }
 
@@ -479,8 +478,9 @@ func (b *Builder) Flush() {
 // space, sync edges are listed in pid-then-record order, and clocks are
 // padded to the final process count — the result is field-for-field
 // identical to Build over the same records, whatever order respecting
-// per-process sequencing they were fed in. Only the recorded Order
-// follows the feed: it is generation order only if the feed was.
+// per-process sequencing they were fed in, except that it records no
+// Order: a feed need not be generation order, and the race detector must
+// not replay one that is not.
 func (b *Builder) Finish(pl *logging.ProgramLog) *Graph {
 	if !b.retain {
 		panic("parallel: Finish on a stream-mode Builder; use Flush")
@@ -500,7 +500,6 @@ func (b *Builder) Finish(pl *logging.ProgramLog) *Graph {
 		nProcs:  nProcs,
 		nShared: b.nShared,
 		procOff: make([]int, nProcs+1),
-		order:   b.order,
 	}
 	for pid := 0; pid < nProcs; pid++ {
 		off := len(g.Events)

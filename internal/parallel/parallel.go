@@ -137,7 +137,7 @@ func (g *Graph) EdgesOf(pid int) []*InternalEdge {
 // graph from Build that is generation order — sync nodes by Gsn, each
 // spawned process's start right after its spawn, each exit after its
 // predecessor's spawned starts — the order race.Frontier needs. A graph a
-// Builder finished is in generation order only if its feed was.
+// Builder finished has no recorded order (nil).
 func (g *Graph) Order() []*Event { return g.order }
 
 // NumProcs returns the number of processes.

@@ -54,12 +54,12 @@ type FrontierStats struct {
 // classified exactly once. A process reached late breaks the second case:
 // walking the nodes in pid order loses races.
 //
-// Three callers feed it: BuildDetect has it observe parallel.Build's
-// pass, Detect replays a finished graph's recorded order, and the online
-// pipeline (package stream) is the Observer of a stream-mode
-// parallel.Builder; each clocks nodes in generation order. Classification
-// allocates nothing per race: races and their variable lists come from
-// the classifier's chunks and arenas. Not safe for concurrent use.
+// Two callers feed it: Detect replays the order parallel.Build recorded,
+// and the online pipeline (package stream) is the Observer of a
+// stream-mode parallel.Builder; both clock nodes in generation order.
+// Classification allocates nothing per race: races and their variable
+// lists come from the classifier's chunks and arenas. Not safe for
+// concurrent use.
 type Frontier struct {
 	mask   *bitset.Set
 	cls    classifier

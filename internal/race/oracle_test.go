@@ -73,7 +73,7 @@ func loggedRun(tb testing.TB, name, src string, quantum int, seed int64) (oracle
 
 // checkOracle holds parallel.Build to the pid-order reference, field by
 // field and through Graph.String, and holds Detect over the built graph
-// and the one-pass BuildDetect to Naive, masked and unmasked.
+// to Naive, masked and unmasked.
 func checkOracle(t *testing.T, r oracleRun) {
 	t.Helper()
 	nShared := len(r.names)
@@ -89,13 +89,6 @@ func checkOracle(t *testing.T, r oracleRun) {
 	for _, m := range []*bitset.Set{nil, r.mask} {
 		if got := race.Report(race.Detect(g, race.Opts{Mask: m}), nil); got != want {
 			t.Fatalf("%s mask %v: Detect diverges from Naive\ngot:\n%swant:\n%s", r.name, m, got, want)
-		}
-		og, races := race.BuildDetect(r.log, nShared, r.names, race.Opts{Mask: m})
-		if got := race.Report(races, nil); got != want {
-			t.Fatalf("%s mask %v: BuildDetect diverges from Naive\ngot:\n%swant:\n%s", r.name, m, got, want)
-		}
-		if og.String() != ref.String() {
-			t.Fatalf("%s mask %v: BuildDetect's graph differs from the reference", r.name, m)
 		}
 	}
 }
@@ -230,6 +223,23 @@ func TestGraphOracle(t *testing.T) {
 	if stopped == 0 {
 		t.Error("no StopAtFirstRace run stopped early: the truncated-log case went untested")
 	}
+}
+
+// TestDetectNeedsBuildOrder pins that Detect refuses a graph without a
+// recorded generation order: the pid-order reference records none, and
+// replaying its pid-order feed would lose races rather than fail.
+func TestDetectNeedsBuildOrder(t *testing.T) {
+	r, _ := loggedRun(t, "racy-counter", workloads.RacyCounter(4, 30, false).Src, 1, 0)
+	ref := referenceGraph(r.log, len(r.names))
+	if n := len(ref.Order()); n != 0 {
+		t.Fatalf("a finished Builder recorded an order of %d nodes", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Detect over a graph without a recorded order did not panic")
+		}
+	}()
+	race.Detect(ref, race.Opts{})
 }
 
 // deadlockSrc is examples/deadlock's lock-order inversion, with a shared

@@ -12,9 +12,8 @@
 // nodes in generation order, tests each internal edge only against the
 // unretired edges that share a variable with it (an O(P) vector-clock
 // check each), and retires edges the happens-before frontier has passed.
-// BuildDetect runs it as the graph is built, Detect over a finished
-// graph, and package stream online, while the program runs. Experiment
-// E8 benchmarks Detect against Naive.
+// Detect runs it over a finished graph, and package stream online, while
+// the program runs. Experiment E8 benchmarks Detect against Naive.
 package race
 
 import (
@@ -24,7 +23,6 @@ import (
 	"strings"
 
 	"ppd/internal/bitset"
-	"ppd/internal/logging"
 	"ppd/internal/obs"
 	"ppd/internal/parallel"
 )
@@ -231,12 +229,19 @@ type Opts struct {
 // against the unretired edges sharing a variable with it — the candidate
 // set Definition 6.3 can ever accept, cut by the happens-before frontier —
 // so the result is identical to Naive's, slice order included, with or
-// without the mask. BuildDetect does the same work during the build.
+// without the mask. It panics on a graph without a full recorded order,
+// such as one a parallel.Builder finished: replaying any other order
+// would silently lose races.
 func Detect(g *parallel.Graph, o Opts) []*Race {
+	order := g.Order()
+	if len(order) != len(g.Events) {
+		panic("race: Detect needs a graph from parallel.Build (its recorded order covers " +
+			strconv.Itoa(len(order)) + " of " + strconv.Itoa(len(g.Events)) + " nodes)")
+	}
 	sc := o.Sink.Scope("debug.race")
 	defer sc.End()
 	f := NewFrontier(g.NumShared(), o.Mask, g.VarNames, nil)
-	for _, ev := range g.Order() {
+	for _, ev := range order {
 		e := g.Edges[ev.ID] // Edges[i] ends at Events[i]: each node ends one edge
 		var start *parallel.Event
 		if e.Start >= 0 {
@@ -245,19 +250,6 @@ func Detect(g *parallel.Graph, o Opts) []*Race {
 		f.OnSync(ev, e, start)
 	}
 	return f.result(o.Sink)
-}
-
-// BuildDetect builds pl's parallel graph (parallel.BuildObserved) with a
-// Frontier observing the build, so race detection is part of the build's
-// one pass rather than a second walk. The graph carries varNames, and the
-// races equal Detect's over parallel.Build's graph.
-func BuildDetect(pl *logging.ProgramLog, nShared int, varNames []string, o Opts) (*parallel.Graph, []*Race) {
-	sc := o.Sink.Scope("debug.race")
-	defer sc.End()
-	f := NewFrontier(nShared, o.Mask, varNames, nil)
-	g := parallel.BuildObserved(pl, nShared, f)
-	g.VarNames = varNames
-	return g, f.result(o.Sink)
 }
 
 // result canonicalizes the frontier's races and folds its tallies into

@@ -2,8 +2,7 @@
 // primitive used by the Controller's emulator construction and the
 // preparatory phase's per-function passes (interproc, PDG, progdb, code
 // generation). The parallel graph's build and race detection do not fan
-// out: they are one sequential pass, the build observed by the
-// happens-before frontier (race.BuildDetect).
+// out: each is one sequential pass (parallel.Build, race.Detect).
 //
 // Those analyses decompose into independent units (per-process
 // emulators, per-function passes). sched exploits that: work
