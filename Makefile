@@ -1,8 +1,9 @@
 # Developer/CI entry points. `make check` is the gate: vet, formatting,
 # build, and the full test suite under Go's race detector — the debugging
-# phase runs concurrent (sched worker pool, concurrent controller queries
-# on one replay-context pool), so our own race detector's implementation
-# is itself race-checked.
+# phase runs concurrent (concurrent controller queries on one
+# replay-context pool, the online pipeline beside a running program, the
+# daemon's sessions), so our own race detector's implementation is itself
+# race-checked.
 
 GO ?= go
 
@@ -16,8 +17,8 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrent packages (sched, race, parallel, controller) plus
-# everything that rides on them, under the Go race detector.
+# The concurrent packages (controller, stream, server) plus everything
+# that rides on them, under the Go race detector.
 race:
 	$(GO) test -race ./...
 

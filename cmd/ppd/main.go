@@ -78,7 +78,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: ppd <command> [flags] file.mpl
 commands:
   compile   run the preparatory phase and summarize its artifacts
-            (flags: -cache-dir DIR -workers N)
+            (flags: -cache-dir DIR)
   dump      print the program database, e-block plan, and bytecode
   run       execute the program (flags: -seed -quantum -mode run|log|trace
             -first-race to abort at the first online-detected race)
@@ -114,12 +114,11 @@ func cmdCompile(args []string) error {
 	fs := flag.NewFlagSet("compile", flag.ExitOnError)
 	cacheDir := fs.String("cache-dir", os.Getenv("PPD_CACHE_DIR"),
 		"persistent artifact cache directory (empty disables; default $PPD_CACHE_DIR)")
-	workers := fs.Int("workers", 0, "pipeline fan-out width (0 = GOMAXPROCS, 1 = sequential)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("compile: need one source file")
 	}
-	prog, err := compileFile(fs.Arg(0), ppd.Options{CacheDir: *cacheDir, Workers: *workers})
+	prog, err := compileFile(fs.Arg(0), ppd.Options{CacheDir: *cacheDir})
 	if err != nil {
 		return err
 	}
@@ -353,7 +352,7 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Exercise the debugging phase so debug.*, sched.*, and race.* report:
+	// Exercise the debugging phase so debug.* and race.* report:
 	// race detection plus one flowback graph build.
 	_ = exec.Races()
 	_, _, _ = exec.Controller().CurrentGraph(0)

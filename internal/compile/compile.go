@@ -18,7 +18,6 @@ import (
 	"ppd/internal/parser"
 	"ppd/internal/pdg"
 	"ppd/internal/progdb"
-	"ppd/internal/sched"
 	"ppd/internal/sem"
 	"ppd/internal/source"
 	"ppd/internal/token"
@@ -67,11 +66,7 @@ func (a *Artifacts) Hydrate() error {
 		if a.DB != nil {
 			return
 		}
-		full, err := compilePipeline(a.File, a.cfg, pipelineOpts{
-			crossWriteFilter: true,
-			pool:             poolFor(0, nil),
-			skipCodegen:      true,
-		})
+		full, err := compilePipeline(a.File, a.cfg, pipelineOpts{crossWriteFilter: true, skipCodegen: true})
 		if err != nil {
 			a.hydrateErr = err
 			return
@@ -89,15 +84,11 @@ func (a *Artifacts) Hydrate() error {
 func (a *Artifacts) Hydrated() bool { return a.DB != nil }
 
 // Opts selects how Compile runs the preparatory phase. The zero value is
-// the default pipeline: the zero e-block config, the shared GOMAXPROCS
-// pool, no observation, no persistent cache, the default fusion table.
+// the default pipeline: the zero e-block config, no observation, no
+// persistent cache, the default fusion table.
 type Opts struct {
 	// Config tunes e-block construction (§5.4).
 	Config eblock.Config
-	// Workers is the per-function fan-out width: 1 compiles sequentially
-	// (the byte-identity baseline of the parallel pipeline), <= 0 uses the
-	// shared GOMAXPROCS pool, anything else gets a dedicated pool.
-	Workers int
 	// Sink receives one "compile.<pass>" scope per pipeline pass, the
 	// artifact-size counters, and the compile.cache.{hits,misses,bytes}
 	// counters. nil disables observation.
@@ -121,14 +112,11 @@ type Opts struct {
 
 // Compile runs parse → check → static analysis → e-block planning → code
 // generation → fusion, through the persistent cache when o.CacheDir is
-// set. On front-end errors it returns the error list's error. The
-// per-function passes fan out across the configured worker pool; the
-// output is byte-identical at every worker count.
+// set. On front-end errors it returns the error list's error.
 func Compile(file *source.File, o Opts) (*Artifacts, error) {
 	po := pipelineOpts{
 		crossWriteFilter: true,
 		sink:             o.Sink,
-		pool:             poolFor(o.Workers, o.Sink),
 		fusion:           o.Fusion,
 		noFusion:         o.NoFusion,
 	}
@@ -178,20 +166,6 @@ func Compile(file *source.File, o Opts) (*Artifacts, error) {
 	return art, nil
 }
 
-// poolFor maps a workers knob to a sched pool: 1 means sequential (nil
-// pool), <= 0 the shared GOMAXPROCS pool (or an observed pool of the same
-// width when a sink wants sched.* metrics), else a dedicated pool.
-func poolFor(workers int, sink *obs.Sink) *sched.Pool {
-	switch {
-	case workers == 1:
-		return nil
-	case workers <= 0 && sink == nil:
-		return sched.Shared()
-	default:
-		return sched.NewObs(workers, sink)
-	}
-}
-
 // Vet runs the static-analysis passes over the compiled program and
 // persists the result in the program database: repeated calls (from the
 // CLI, the controller's detector pruning, or the public API) share one
@@ -211,7 +185,7 @@ func (a *Artifacts) Vet(sink *obs.Sink) *analysis.Result {
 // compileUnfiltered compiles with the literal-§5.5 shared prelogs (no
 // cross-write filtering) — the baseline of the shared-prelog ablation.
 func compileUnfiltered(file *source.File, cfg eblock.Config) (*Artifacts, error) {
-	return compilePipeline(file, cfg, pipelineOpts{pool: poolFor(0, nil)})
+	return compilePipeline(file, cfg, pipelineOpts{})
 }
 
 // CompileBare compiles without any instrumentation markers: no prelog,
@@ -220,7 +194,7 @@ func compileUnfiltered(file *source.File, cfg eblock.Config) (*Artifacts, error)
 // comparing against ModeRun over instrumented code would hide the marker
 // dispatch cost.
 func CompileBare(file *source.File) (*Artifacts, error) {
-	return compilePipeline(file, eblock.Config{}, pipelineOpts{crossWriteFilter: true, noInstr: true, pool: poolFor(0, nil)})
+	return compilePipeline(file, eblock.Config{}, pipelineOpts{crossWriteFilter: true, noInstr: true})
 }
 
 // pipelineOpts selects the pipeline variant; the passes themselves are
@@ -230,7 +204,6 @@ type pipelineOpts struct {
 	noInstr          bool
 	skipCodegen      bool // Hydrate: bytecode (and its certificates) already loaded from the cache
 	sink             *obs.Sink
-	pool             *sched.Pool // nil: run every pass sequentially
 
 	// fusion selects the superinstruction table for the peephole pass that
 	// runs after codegen; nil means bytecode.DefaultFusionTable() unless
@@ -240,13 +213,10 @@ type pipelineOpts struct {
 	noFusion bool
 }
 
-// compilePipeline is the preparatory phase's pass DAG. The global stages —
-// parsing, checking, the interprocedural MOD/REF fixpoint, e-block
-// numbering — run sequentially in dependency order; the per-function
-// stages (direct dataflow inside interproc, PDG construction, database
-// indexing, code generation) fan out across po.pool with deterministic
-// index-order merges, so the artifacts are byte-identical to a nil-pool
-// run.
+// compilePipeline is the preparatory phase: each pass runs once, in
+// dependency order, and the per-function stages (direct dataflow inside
+// interproc, PDG construction, database indexing, code generation) visit
+// the functions in declaration order.
 func compilePipeline(file *source.File, cfg eblock.Config, po pipelineOpts) (*Artifacts, error) {
 	total := po.sink.Scope("compile.total")
 	defer total.End()
@@ -266,11 +236,11 @@ func compilePipeline(file *source.File, cfg eblock.Config, po pipelineOpts) (*Ar
 	}
 
 	sc = pass("interproc")
-	inter := interproc.AnalyzeWith(info, po.pool)
+	inter := interproc.Analyze(info)
 	sc.End()
 
 	sc = pass("pdg")
-	p := pdg.BuildFromInter(inter, po.crossWriteFilter, po.pool)
+	p := pdg.BuildFromInter(inter, po.crossWriteFilter)
 	sc.End()
 
 	sc = pass("eblock")
@@ -278,7 +248,7 @@ func compilePipeline(file *source.File, cfg eblock.Config, po pipelineOpts) (*Ar
 	sc.End()
 
 	sc = pass("progdb")
-	db := progdb.BuildWith(p, plan, po.pool)
+	db := progdb.Build(p, plan)
 	sc.End()
 
 	if po.skipCodegen {
@@ -303,14 +273,13 @@ func compilePipeline(file *source.File, cfg eblock.Config, po pipelineOpts) (*Ar
 			MainIdx: -1,
 		},
 	}
-	err := c.run(po.pool)
+	err := c.run()
 	sc.End()
 	if err != nil {
 		return nil, err
 	}
 
-	// Superinstruction fusion: a cheap sequential peephole over the merged
-	// code that fills each function's Super side table (bytecode.FuseCert). It
+	// Superinstruction fusion: a cheap peephole over the generated code that fills each function's Super side table (bytecode.FuseCert). It
 	// runs last so it sees the final instruction layout; Code itself is
 	// never rewritten, so every PC-based artifact above stays valid.
 	if !po.noFusion {
@@ -366,7 +335,7 @@ type compiler struct {
 	strIdx map[string]int
 }
 
-func (c *compiler) run(pool *sched.Pool) error {
+func (c *compiler) run() error {
 	c.strIdx = make(map[string]int)
 
 	// Globals.
@@ -467,46 +436,11 @@ func (c *compiler) run(pool *sched.Pool) error {
 		c.out.Blocks = append(c.out.Blocks, meta)
 	}
 
-	// Code generation: each function body lowers independently. String
-	// literals intern into a per-function table first (OpPrintStr operands
-	// are local indices during this stage); the sequential merge below
-	// re-interns them into the program table in function order, which is
-	// exactly the order the sequential pipeline would have encountered them
-	// at emit time — so the program's string table and every rewritten
-	// operand are byte-identical to a sequential compile.
-	locals := make([]localStrings, len(c.info.FuncList))
-	genFunc := func(i int) {
-		fc := &fnCompiler{
-			c:    c,
-			fn:   c.info.FuncList[i],
-			f:    c.out.Funcs[i],
-			strs: &locals[i],
-		}
+	// Code generation, one function body at a time in declaration order;
+	// string literals intern into the program table as they are emitted.
+	for i, fn := range c.info.FuncList {
+		fc := &fnCompiler{c: c, fn: fn, f: c.out.Funcs[i]}
 		fc.compile()
-	}
-	if pool == nil {
-		for i := range c.info.FuncList {
-			genFunc(i)
-		}
-	} else {
-		pool.ForEach(len(c.info.FuncList), genFunc)
-	}
-
-	// Deterministic string-table merge + operand rewrite.
-	for i, f := range c.out.Funcs {
-		ls := &locals[i]
-		if len(ls.strs) == 0 {
-			continue
-		}
-		remap := make([]int, len(ls.strs))
-		for j, s := range ls.strs {
-			remap[j] = c.internString(s)
-		}
-		for pc := range f.Code {
-			if f.Code[pc].Op == bytecode.OpPrintStr {
-				f.Code[pc].A = remap[f.Code[pc].A]
-			}
-		}
 	}
 
 	// Per-function prelog-PC index: emulation resolves an interval's start
@@ -515,26 +449,6 @@ func (c *compiler) run(pool *sched.Pool) error {
 		f.BuildPrelogIndex()
 	}
 	return nil
-}
-
-// localStrings is one function's private string-literal table, merged into
-// the program table after parallel code generation.
-type localStrings struct {
-	strs []string
-	idx  map[string]int
-}
-
-func (ls *localStrings) intern(s string) int {
-	if i, ok := ls.idx[s]; ok {
-		return i
-	}
-	if ls.idx == nil {
-		ls.idx = make(map[string]int)
-	}
-	i := len(ls.strs)
-	ls.strs = append(ls.strs, s)
-	ls.idx[s] = i
-	return i
 }
 
 func (c *compiler) internString(s string) int {
@@ -600,14 +514,11 @@ func constEval(e ast.Expr) (int64, bool) {
 	return 0, false
 }
 
-// fnCompiler generates code for one function. It writes only to f, strs,
-// and the BlockMeta entries of this function's own loops, so distinct
-// functions compile concurrently.
+// fnCompiler generates code for one function.
 type fnCompiler struct {
-	c    *compiler
-	fn   *sem.FuncInfo
-	f    *bytecode.Func
-	strs *localStrings
+	c  *compiler
+	fn *sem.FuncInfo
+	f  *bytecode.Func
 
 	curStmt ast.StmtID
 
@@ -848,7 +759,7 @@ func (fc *fnCompiler) stmt(s ast.Stmt) {
 	case *ast.PrintStmt:
 		for _, a := range s.Args {
 			if str, ok := a.(*ast.StringLit); ok {
-				fc.emit(bytecode.OpPrintStr, fc.strs.intern(str.Value), 0)
+				fc.emit(bytecode.OpPrintStr, fc.c.internString(str.Value), 0)
 				continue
 			}
 			fc.expr(a)

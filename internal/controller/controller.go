@@ -13,6 +13,7 @@ package controller
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,7 +27,6 @@ import (
 	"ppd/internal/obs"
 	"ppd/internal/parallel"
 	"ppd/internal/race"
-	"ppd/internal/sched"
 	"ppd/internal/vm"
 )
 
@@ -50,9 +50,8 @@ type Controller struct {
 	Deadlock bool
 
 	emus []*emulation.Emulator
-	pool *sched.Pool
 	// epool is the replay-context pool shared by every per-process
-	// emulator, bounded by the worker count so concurrent sessions cannot
+	// emulator, bounded by the CPU count so concurrent sessions cannot
 	// hoard a VM per in-flight query.
 	epool *emulation.Pool
 
@@ -91,20 +90,17 @@ type Controller struct {
 	racesDone bool
 }
 
-// Config tunes a controller. The zero value is a clean-exit execution, the
-// shared GOMAXPROCS pool, DefaultCacheBound, no observation.
+// Config tunes a controller. The zero value is a clean-exit execution,
+// DefaultCacheBound, no observation.
 type Config struct {
 	// Failure is the runtime error that halted execution, if any.
 	Failure *vm.RuntimeError
 	// Deadlock reports whether execution ended with blocked processes.
 	Deadlock bool
-	// Workers bounds the debugging phase's fan-out for this controller.
-	// <= 0 uses the process-wide shared pool (GOMAXPROCS workers).
-	Workers int
 	// CacheBound caps the interval LRU: 0 means DefaultCacheBound, < 0
 	// removes the bound, > 0 is the bound itself.
 	CacheBound int
-	// Obs receives debugging-phase metrics (debug.*, sched.*, race.*).
+	// Obs receives debugging-phase metrics (debug.*, race.*).
 	// nil disables observation at the cost of one nil check per query.
 	Obs *obs.Sink
 	// CheckpointEvery is the record spacing K between ReplayTo state
@@ -118,8 +114,7 @@ type Config struct {
 // logs; cfg says how the execution ended and tunes the debugging phase.
 // It builds no graph: the parallel dynamic graph is built on first need
 // (Parallel, Races, ResolveInitial, DeadlockReport), and each interval's
-// dynamic graph on its first query. Emulator construction fans out
-// across the configured worker pool.
+// dynamic graph on its first query.
 func New(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *Controller {
 	bound := cfg.CacheBound
 	if bound == 0 {
@@ -138,14 +133,6 @@ func New(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *Controller
 		ckEvery:  ckEvery,
 		ckpts:    make([][]ckpt, len(pl.Books)),
 	}
-	switch {
-	case cfg.Workers > 0 || cfg.Obs != nil:
-		// A private pool: either the caller bounded the fan-out, or pool
-		// utilization must be observable (the shared pool is unobserved).
-		c.pool = sched.NewObs(cfg.Workers, cfg.Obs)
-	default:
-		c.pool = sched.Shared()
-	}
 	if cfg.Obs != nil {
 		c.obs = cfg.Obs
 		c.cHits = cfg.Obs.Counter("debug.cache.hits")
@@ -156,15 +143,14 @@ func New(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *Controller
 		c.tEmu = cfg.Obs.Timer("debug.emulate")
 	}
 	sc := c.obs.Scope("debug.build")
-	c.emus = sched.Map(c.pool, len(pl.Books), func(pid int) *emulation.Emulator {
-		return emulation.New(art.Prog, pl.Books[pid])
-	})
-	// One replay-context pool for every emulator, sized to the worker
-	// count: concurrent queries' emulations each get a context, but an
-	// idle controller retains at most this many pooled VMs.
-	c.epool = emulation.NewPool(art.Prog, max(2, c.pool.Workers()), cfg.Obs)
-	for _, em := range c.emus {
-		em.SetPool(c.epool)
+	// One replay-context pool for every emulator, sized to the CPU count:
+	// concurrent queries' emulations each get a context, but an idle
+	// controller retains at most this many pooled VMs.
+	c.epool = emulation.NewPool(art.Prog, max(2, runtime.GOMAXPROCS(0)), cfg.Obs)
+	c.emus = make([]*emulation.Emulator, len(pl.Books))
+	for pid, book := range pl.Books {
+		c.emus[pid] = emulation.New(art.Prog, book)
+		c.emus[pid].SetPool(c.epool)
 	}
 	sc.End()
 	return c

@@ -11,7 +11,6 @@ import (
 	"ppd/internal/eblock"
 	"ppd/internal/logging"
 	"ppd/internal/obs"
-	"ppd/internal/sched"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
@@ -578,21 +577,6 @@ func TestConfigUnboundedCacheNeverEvicts(t *testing.T) {
 	}
 	if c.cache.len() != len(prelogIndices(c, 0)) {
 		t.Errorf("cache len = %d, want every interval retained", c.cache.len())
-	}
-}
-
-func TestConfigWorkersSelectsPrivatePool(t *testing.T) {
-	c := sessionConfig(t, multiIntervalSrc, vm.Options{}, Config{Workers: 3})
-	if c.pool == sched.Shared() {
-		t.Error("Workers > 0 must not use the shared pool")
-	}
-	if c.pool.Workers() != 3 {
-		t.Errorf("pool workers = %d, want 3", c.pool.Workers())
-	}
-	// Zero config uses the shared pool (the historical default).
-	c2 := sessionConfig(t, multiIntervalSrc, vm.Options{}, Config{})
-	if c2.pool != sched.Shared() {
-		t.Error("zero Config must keep the shared pool")
 	}
 }
 

@@ -214,7 +214,7 @@ func whatIfKey(res *replay.WhatIfResult) string {
 // under -race in CI).
 func TestWhatIfConcurrentWithGraph(t *testing.T) {
 	p := whatIfProgram{"tokenring", workloads.TokenRing(3, 20).Src}
-	art, v, c := loggedController(t, p, Config{Workers: 2})
+	art, v, c := loggedController(t, p, Config{})
 	seq := New(art, v.Log, Config{Failure: v.Failure, Deadlock: v.Deadlock})
 
 	type query struct {

@@ -9,8 +9,8 @@ import (
 )
 
 // DefaultPoolBound is the per-pool cap on idle replay contexts. The
-// controller replaces the default pool with a shared one sized to its
-// worker count, so this only governs emulators used standalone.
+// controller replaces the default pool with a shared one sized to the
+// CPU count, so this only governs emulators used standalone.
 const DefaultPoolBound = 4
 
 // Context is one reusable replay context: a ModeEmulate VM plus the

@@ -13,7 +13,6 @@ import (
 	"ppd/internal/ast"
 	"ppd/internal/bitset"
 	"ppd/internal/dataflow"
-	"ppd/internal/sched"
 	"ppd/internal/sem"
 )
 
@@ -77,25 +76,12 @@ func (r *Result) Effects() dataflow.CallEffects {
 	}
 }
 
-// Analyze computes summaries for every function with a fixpoint over the
-// call graph (sound for recursion and mutual recursion).
-func Analyze(info *sem.Info) *Result {
-	return AnalyzeWith(info, nil)
-}
-
-// funcFacts is one function's pass-1 output: the per-function direct facts
-// are independent of every other function, so AnalyzeWith can compute them
-// in parallel and merge in FuncList order.
-type funcFacts struct {
-	space *dataflow.Space
-	uds   map[ast.StmtID]*dataflow.UseDef
-	sum   *FuncSummary
-}
-
 // directFacts computes pass 1 (local dataflow, call-graph edges, sync
-// markers) for one function. It reads only the AST and the checker's
-// read-only symbol tables, never another function's facts.
-func directFacts(info *sem.Info, fn *sem.FuncInfo) funcFacts {
+// markers) for one function and records its space, use-defs and summary.
+// It reads only the AST and the checker's symbol tables, never another
+// function's facts.
+func (r *Result) directFacts(fn *sem.FuncInfo) {
+	info := r.Info
 	nGlobals := info.NumGlobals()
 	space := dataflow.NewSpace(info, fn)
 	uds := dataflow.ComputeUseDef(space)
@@ -164,14 +150,14 @@ func directFacts(info *sem.Info, fn *sem.FuncInfo) funcFacts {
 		}
 	}
 	s.IsLeaf = len(plain) == 0
-	return funcFacts{space: space, uds: uds, sum: s}
+	r.Spaces[fn.Name()] = space
+	r.UseDefs[fn.Name()] = uds
+	r.Summaries[fn.Name()] = s
 }
 
-// AnalyzeWith is Analyze with pass 1 (per-function direct facts) fanned out
-// across pool; a nil pool keeps every pass on the calling goroutine. The
-// fixpoint passes stay sequential — they converge to the least fixpoint
-// regardless of visit order, so the result is identical either way.
-func AnalyzeWith(info *sem.Info, pool *sched.Pool) *Result {
+// Analyze computes summaries for every function with a fixpoint over the
+// call graph (sound for recursion and mutual recursion).
+func Analyze(info *sem.Info) *Result {
 	r := &Result{
 		Info:      info,
 		Summaries: make(map[string]*FuncSummary),
@@ -179,23 +165,9 @@ func AnalyzeWith(info *sem.Info, pool *sched.Pool) *Result {
 		Spaces:    make(map[string]*dataflow.Space),
 	}
 
-	// Pass 1: direct facts, one independent unit per function.
-	n := len(info.FuncList)
-	var facts []funcFacts
-	if pool == nil {
-		facts = make([]funcFacts, n)
-		for i, fn := range info.FuncList {
-			facts[i] = directFacts(info, fn)
-		}
-	} else {
-		facts = sched.Map(pool, n, func(i int) funcFacts {
-			return directFacts(info, info.FuncList[i])
-		})
-	}
-	for i, fn := range info.FuncList {
-		r.Spaces[fn.Name()] = facts[i].space
-		r.UseDefs[fn.Name()] = facts[i].uds
-		r.Summaries[fn.Name()] = facts[i].sum
+	// Pass 1: direct facts, one function at a time.
+	for _, fn := range info.FuncList {
+		r.directFacts(fn)
 	}
 
 	// Pass 2: transitive closure (only through plain calls; spawned code

@@ -24,7 +24,6 @@ import (
 	"ppd/internal/cfg"
 	"ppd/internal/dataflow"
 	"ppd/internal/interproc"
-	"ppd/internal/sched"
 	"ppd/internal/sem"
 )
 
@@ -135,25 +134,17 @@ type Program struct {
 
 // Build runs the whole static-analysis pipeline.
 func Build(info *sem.Info) *Program {
-	return BuildWithFilter(info, true)
-}
-
-// BuildWithFilter optionally disables the cross-write restriction of the
-// shared prelogs (see SyncUnit.CrossReads). Disabling it yields a literal
-// reading of §5.5 — every shared read in a unit is logged — and exists only
-// for the ablation experiment that quantifies what the refinement saves.
-func BuildWithFilter(info *sem.Info, crossWriteFilter bool) *Program {
-	return BuildFromInter(interproc.Analyze(info), crossWriteFilter, nil)
+	return BuildFromInter(interproc.Analyze(info), true)
 }
 
 // BuildFromInter builds the static PDG from a precomputed interprocedural
-// result, fanning the per-function construction (CFG, reaching definitions,
-// def-use chains, simplified graph, sync units) out across pool. A nil pool
-// runs sequentially. After the sequential MOD/REF fixpoint and the
-// cross-write set computation, each function's build reads only immutable
-// shared state, so the parallel merge (FuncList index order) yields a
-// Program identical to the sequential one.
-func BuildFromInter(inter *interproc.Result, crossWriteFilter bool, pool *sched.Pool) *Program {
+// result: per function, the CFG, reaching definitions, def-use chains,
+// simplified graph and sync units. crossWriteFilter false disables the
+// cross-write restriction of the shared prelogs (see SyncUnit.CrossReads),
+// a literal reading of §5.5 — every shared read in a unit is logged — that
+// exists only for the ablation experiment that quantifies what the
+// refinement saves.
+func BuildFromInter(inter *interproc.Result, crossWriteFilter bool) *Program {
 	info := inter.Info
 	p := &Program{
 		Info:       info,
@@ -172,17 +163,8 @@ func BuildFromInter(inter *interproc.Result, crossWriteFilter bool, pool *sched.
 			p.WrittenByOthers[fn.Name()] = p.SharedMask.Clone()
 		}
 	}
-	if pool == nil {
-		for _, fn := range info.FuncList {
-			p.Funcs[fn.Name()] = p.buildFunc(fn)
-		}
-	} else {
-		funcs := sched.Map(pool, len(info.FuncList), func(i int) *FuncPDG {
-			return p.buildFunc(info.FuncList[i])
-		})
-		for i, fn := range info.FuncList {
-			p.Funcs[fn.Name()] = funcs[i]
-		}
+	for _, fn := range info.FuncList {
+		p.Funcs[fn.Name()] = p.buildFunc(fn)
 	}
 	return p
 }

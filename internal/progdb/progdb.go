@@ -16,7 +16,6 @@ import (
 	"ppd/internal/ast"
 	"ppd/internal/eblock"
 	"ppd/internal/pdg"
-	"ppd/internal/sched"
 	"ppd/internal/sem"
 	"ppd/internal/source"
 )
@@ -79,17 +78,10 @@ func (db *DB) Vet() *analysis.Result {
 	return db.vet
 }
 
-// Build assembles the database from the earlier analyses.
+// Build assembles the database from the earlier analyses. Functions are
+// indexed in FuncList order, statements in source order, so every
+// variable's def and use site lists are in that order too.
 func Build(p *pdg.Program, plan *eblock.Plan) *DB {
-	return BuildWith(p, plan, nil)
-}
-
-// BuildWith is Build with the per-function statement/variable indexing
-// fanned out across pool (nil pool runs sequentially). Each function's
-// index is collected into a private partial; partials merge in FuncList
-// order, reproducing the sequential database exactly — per-variable
-// def/use site lists keep their sequential append order.
-func BuildWith(p *pdg.Program, plan *eblock.Plan, pool *sched.Pool) *DB {
 	db := &DB{
 		Prog:  p.Info.Prog,
 		Info:  p.Info,
@@ -106,50 +98,20 @@ func BuildWith(p *pdg.Program, plan *eblock.Plan, pool *sched.Pool) *DB {
 			db.vars[key(fn.Name(), l.Name)] = &VarSites{Symbol: l, Scope: fn.Name()}
 		}
 	}
-	n := len(p.Info.FuncList)
-	var parts []*funcIndex
-	if pool == nil {
-		parts = make([]*funcIndex, n)
-		for i, fn := range p.Info.FuncList {
-			parts[i] = db.collectFunc(fn)
-		}
-	} else {
-		parts = sched.Map(pool, n, func(i int) *funcIndex {
-			return db.collectFunc(p.Info.FuncList[i])
-		})
-	}
-	for _, part := range parts {
-		db.mergeFunc(part)
+	for _, fn := range p.Info.FuncList {
+		db.indexFunc(fn)
 	}
 	return db
 }
 
 func key(scope, name string) string { return scope + "\x00" + name }
 
-// funcIndex is one function's database contribution, collected without
-// touching the shared maps so collection can run concurrently.
-type funcIndex struct {
-	stmts []*StmtInfo
-	sites []siteContrib
-}
-
-// siteContrib is one def or use site of a variable, in the order the
-// sequential indexer would have appended it.
-type siteContrib struct {
-	sym   *sem.Symbol
-	scope string // "" for globals
-	def   bool
-	id    ast.StmtID
-}
-
-// collectFunc gathers one function's statement records and variable sites.
-// It only reads shared state (AST, PDG, spaces); all output goes into the
-// returned partial.
-func (db *DB) collectFunc(fn *sem.FuncInfo) *funcIndex {
-	f := db.PDG.Funcs[fn.Name()]
-	space := f.Space
+// indexFunc records one function's statements and its variables' def and
+// use sites.
+func (db *DB) indexFunc(fn *sem.FuncInfo) {
+	space := db.PDG.Funcs[fn.Name()].Space
 	file := db.Prog.File
-	part := &funcIndex{}
+	uds := db.PDG.Inter.UseDefs[fn.Name()]
 	for _, s := range ast.Stmts(fn.Decl.Body) {
 		id := s.ID()
 		si := &StmtInfo{
@@ -162,42 +124,33 @@ func (db *DB) collectFunc(fn *sem.FuncInfo) *funcIndex {
 		case *ast.IfStmt, *ast.WhileStmt, *ast.ForStmt:
 			si.IsBranch = true
 		}
-		if ud, ok := db.PDG.Inter.UseDefs[fn.Name()][id]; ok {
-			si.Calls = ud.Calls
-			contrib := func(v int, def bool) {
-				sc := siteContrib{sym: space.Symbol(v), def: def, id: id}
-				if !space.IsGlobal(v) {
-					sc.scope = fn.Name()
-				}
-				part.sites = append(part.sites, sc)
-			}
-			ud.Def.ForEach(func(v int) { contrib(v, true) })
-			ud.Use.ForEach(func(v int) { contrib(v, false) })
-		}
-		part.stmts = append(part.stmts, si)
-	}
-	return part
-}
-
-// mergeFunc folds one partial into the shared maps. Callers invoke it in
-// FuncList order, which makes the merged database identical to the one the
-// sequential indexer builds.
-func (db *DB) mergeFunc(part *funcIndex) {
-	for _, si := range part.stmts {
-		db.Stmts[si.ID] = si
-	}
-	for _, sc := range part.sites {
-		k := key(sc.scope, sc.sym.Name)
-		vs, ok := db.vars[k]
+		db.Stmts[id] = si
+		ud, ok := uds[id]
 		if !ok {
-			vs = &VarSites{Symbol: sc.sym, Scope: sc.scope}
-			db.vars[k] = vs
+			continue
 		}
-		if sc.def {
-			vs.Defs = append(vs.Defs, sc.id)
-		} else {
-			vs.Uses = append(vs.Uses, sc.id)
+		si.Calls = ud.Calls
+		site := func(v int) *VarSites {
+			sym, scope := space.Symbol(v), ""
+			if !space.IsGlobal(v) {
+				scope = fn.Name()
+			}
+			k := key(scope, sym.Name)
+			vs, ok := db.vars[k]
+			if !ok {
+				vs = &VarSites{Symbol: sym, Scope: scope}
+				db.vars[k] = vs
+			}
+			return vs
 		}
+		ud.Def.ForEach(func(v int) {
+			vs := site(v)
+			vs.Defs = append(vs.Defs, id)
+		})
+		ud.Use.ForEach(func(v int) {
+			vs := site(v)
+			vs.Uses = append(vs.Uses, id)
+		})
 	}
 }
 

@@ -123,7 +123,6 @@ func (s *Server) options(ro runOptions) ppd.Options {
 		NoFusion:        ro.NoFusion,
 		StopAtFirstRace: ro.StopAtFirstRace,
 		StreamBatch:     ro.StreamBatch,
-		Workers:         s.cfg.SessionWorkers,
 		CacheBound:      s.cfg.CacheBound,
 		CacheDir:        s.cfg.CacheDir,
 	}

@@ -72,10 +72,6 @@ type Config struct {
 	// 4×Workers; < 0 refuses immediately once all workers are busy.
 	MaxQueue int
 
-	// SessionWorkers bounds each session's debugging-phase fan-out
-	// (ppd.Options.Workers). 0 leaves the per-session default.
-	SessionWorkers int
-
 	// CacheBound caps each session's emulation LRU
 	// (ppd.Options.CacheBound). 0 leaves the per-session default.
 	CacheBound int

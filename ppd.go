@@ -122,9 +122,6 @@ type Options struct {
 	// the program database / `ppd dump` for statement numbers) is about to
 	// execute, leaving a debuggable stopped state.
 	BreakAt int
-	// Workers bounds the debugging phase's worker-pool fan-out (race
-	// detection, emulator construction). 0 uses GOMAXPROCS.
-	Workers int
 	// CacheBound caps the controller's interval LRU cache: 0 means the
 	// default bound, < 0 removes the bound.
 	CacheBound int
@@ -194,9 +191,6 @@ func (o Options) validate(art *compile.Artifacts) error {
 	if o.MaxSteps < 0 {
 		return optionErr("MaxSteps", o.MaxSteps, "must be >= 0; 0 selects the default")
 	}
-	if o.Workers < 0 {
-		return optionErr("Workers", o.Workers, "must be >= 0; 0 uses GOMAXPROCS")
-	}
 	if o.BreakAt < 0 {
 		return optionErr("BreakAt", o.BreakAt, "must be >= 0; 0 disables the breakpoint")
 	}
@@ -224,9 +218,9 @@ type Program struct {
 }
 
 // CompileOpts compiles with an explicit configuration and the
-// preparatory-phase knobs from opts: Workers bounds the pipeline's
-// per-function fan-out, and CacheDir (or the PPD_CACHE_DIR environment
-// variable) enables the persistent artifact cache. A cache hit returns a
+// preparatory-phase knobs from opts: CacheDir (or the PPD_CACHE_DIR
+// environment variable) enables the persistent artifact cache, and
+// NoFusion disables the fusion pass. A cache hit returns a
 // Program whose semantic layers rebuild lazily on the first debugging-phase
 // query; Run, RunLoggedContext, and Vet work immediately off the cached
 // bytecode.
@@ -234,7 +228,6 @@ func CompileOpts(filename, src string, cfg BlockConfig, opts Options) (*Program,
 	sink := obs.New()
 	art, err := compile.Compile(source.NewFile(filename, src), compile.Opts{
 		Config:   cfg,
-		Workers:  opts.Workers,
 		Sink:     sink,
 		CacheDir: cacheDir(opts),
 		NoFusion: opts.NoFusion,
@@ -538,7 +531,6 @@ func (p *Program) ReadLog(r io.Reader, opts Options) (*Execution, error) {
 		opts:    opts,
 		sink:    sink,
 		ctl: controller.New(p.art, pl, controller.Config{
-			Workers:    opts.Workers,
 			CacheBound: opts.CacheBound,
 			Obs:        sink,
 		}),
@@ -557,7 +549,6 @@ func (e *Execution) Controller() *Controller {
 		e.ctl = controller.New(e.Program.art, e.vm.Log, controller.Config{
 			Failure:    e.vm.Failure,
 			Deadlock:   e.vm.Deadlock,
-			Workers:    e.opts.Workers,
 			CacheBound: e.opts.CacheBound,
 			Obs:        e.sink,
 		})
@@ -585,10 +576,10 @@ func (e *Execution) Races() []*Race { return e.Controller().Races() }
 // Stats returns the execution's observability snapshot, spanning all three
 // phases: compile.* (per-pass timings, static artifact sizes), exec.*
 // (steps, context switches, per-kind log records and bytes), and — after
-// debugging queries such as Races or Debugger — debug.*, sched.*, and
-// race.* (cache hits/misses, emulation time, pool utilization, pairs
-// checked). Each call takes a fresh snapshot; the log-size gauges are
-// derived from the retained log, so repeated calls never double-count.
+// debugging queries such as Races or Debugger — debug.* and race.*
+// (cache hits/misses, emulation time, pairs checked). Each call takes a
+// fresh snapshot; the log-size gauges are derived from the retained log,
+// so repeated calls never double-count.
 func (e *Execution) Stats() *Stats {
 	snap := e.Program.sink.Snapshot()
 	snap.Merge(e.sink.Snapshot())

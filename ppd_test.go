@@ -201,7 +201,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"negative quantum", Options{Quantum: -1}, "Quantum", "-1"},
 		{"negative max steps", Options{MaxSteps: -5}, "MaxSteps", "-5"},
-		{"negative workers", Options{Workers: -2}, "Workers", "-2"},
 		{"negative breakpoint", Options{BreakAt: -3}, "BreakAt", "-3"},
 		{"unknown statement breakpoint", Options{BreakAt: 9999}, "BreakAt", "9999"},
 	}
@@ -329,7 +328,7 @@ func main() { spawn w(); spawn w(); P(done); P(done); print(counter); }`, eblock
 	}
 }
 
-func TestFacadeWorkersAndCacheBoundPlumbed(t *testing.T) {
+func TestFacadeCacheBoundPlumbed(t *testing.T) {
 	// f exceeds the leaf-inline threshold so each call is its own interval.
 	prog, err := CompileOpts("wcb.mpl", `
 var g;
@@ -348,7 +347,7 @@ func main() { f(); f(); f(); print(g); }`, eblock.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := prog.RunLoggedContext(context.Background(), Options{Workers: 2, CacheBound: 1})
+	exec, err := prog.RunLoggedContext(context.Background(), Options{CacheBound: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
