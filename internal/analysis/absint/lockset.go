@@ -24,6 +24,8 @@ package absint
 // drop it without changing the reported race set.
 
 import (
+	"maps"
+
 	"ppd/internal/ast"
 	"ppd/internal/bitset"
 	"ppd/internal/cfg"
@@ -101,7 +103,7 @@ func (e *engine) locksets() {
 	// 3. Entry contexts: process roots start holding nothing; everything
 	// else starts at the universe and is intersected down from its call
 	// sites (a decreasing fixpoint, so initialization must be optimistic).
-	roots := e.p.Inter.SpawnTargets()
+	roots := maps.Clone(e.p.Inter.SpawnTargets())
 	if info.Main != nil {
 		roots[info.Main.Name()] = true
 	}

@@ -415,7 +415,11 @@ type Program struct {
 	Globals  []*GlobalDecl
 	NumStmts int // total number of StmtIDs assigned (max StmtID)
 
-	stmtByID map[StmtID]Stmt
+	// NumIdents is the number of identifier nodes the parser made: the
+	// size of a table keyed by identifier.
+	NumIdents int
+
+	stmtByID []Stmt // indexed by StmtID
 }
 
 // Pos returns the start of the file.
@@ -426,14 +430,23 @@ func (p *Program) End() source.Pos { return source.Pos(len(p.File.Content) + 1) 
 
 // RegisterStmt records a statement for ID lookup; called by the parser.
 func (p *Program) RegisterStmt(s Stmt) {
-	if p.stmtByID == nil {
-		p.stmtByID = make(map[StmtID]Stmt)
+	id := int(s.ID())
+	if id < 0 {
+		return
 	}
-	p.stmtByID[s.ID()] = s
+	for len(p.stmtByID) <= id {
+		p.stmtByID = append(p.stmtByID, nil)
+	}
+	p.stmtByID[id] = s
 }
 
 // StmtByID returns the statement with the given ID, or nil.
-func (p *Program) StmtByID(id StmtID) Stmt { return p.stmtByID[id] }
+func (p *Program) StmtByID(id StmtID) Stmt {
+	if id < 0 || int(id) >= len(p.stmtByID) {
+		return nil
+	}
+	return p.stmtByID[id]
+}
 
 // FuncByName returns the declared function with the given name, or nil.
 func (p *Program) FuncByName(name string) *FuncDecl {

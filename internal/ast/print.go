@@ -1,7 +1,7 @@
 package ast
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"ppd/internal/token"
@@ -20,11 +20,13 @@ func writeExpr(b *strings.Builder, e Expr) {
 	case *Ident:
 		b.WriteString(e.Name)
 	case *IntLit:
-		fmt.Fprintf(b, "%d", e.Value)
+		var buf [20]byte
+		b.Write(strconv.AppendInt(buf[:0], e.Value, 10))
 	case *BoolLit:
-		fmt.Fprintf(b, "%t", e.Value)
+		b.WriteString(strconv.FormatBool(e.Value))
 	case *StringLit:
-		fmt.Fprintf(b, "%q", e.Value)
+		var buf [64]byte
+		b.Write(strconv.AppendQuote(buf[:0], e.Value))
 	case *UnaryExpr:
 		b.WriteString(e.Op.String())
 		writeExpr(b, e.X)
@@ -63,55 +65,85 @@ func writeExpr(b *strings.Builder, e Expr) {
 // StmtString renders a one-line summary of a statement, used for debugger
 // listings ("s12: d=SubD(a,b,a+b+c)").
 func StmtString(s Stmt) string {
+	var b strings.Builder
+	b.Grow(32)
+	writeStmt(&b, s)
+	return b.String()
+}
+
+func writeStmt(b *strings.Builder, s Stmt) {
 	switch s := s.(type) {
 	case *VarDeclStmt:
+		b.WriteString("var ")
+		b.WriteString(s.Name.Name)
 		if s.Init != nil {
-			return fmt.Sprintf("var %s = %s", s.Name.Name, ExprString(s.Init))
+			b.WriteString(" = ")
+			writeExpr(b, s.Init)
 		}
-		return fmt.Sprintf("var %s", s.Name.Name)
 	case *AssignStmt:
+		b.WriteString(s.LHS.Name)
 		if s.Index != nil {
-			return fmt.Sprintf("%s[%s]=%s", s.LHS.Name, ExprString(s.Index), ExprString(s.RHS))
+			b.WriteByte('[')
+			writeExpr(b, s.Index)
+			b.WriteByte(']')
 		}
-		return fmt.Sprintf("%s=%s", s.LHS.Name, ExprString(s.RHS))
+		b.WriteByte('=')
+		writeExpr(b, s.RHS)
 	case *IfStmt:
-		return fmt.Sprintf("if (%s)", ExprString(s.Cond))
+		b.WriteString("if (")
+		writeExpr(b, s.Cond)
+		b.WriteByte(')')
 	case *WhileStmt:
-		return fmt.Sprintf("while (%s)", ExprString(s.Cond))
+		b.WriteString("while (")
+		writeExpr(b, s.Cond)
+		b.WriteByte(')')
 	case *ForStmt:
-		cond := ""
+		b.WriteString("for (;")
 		if s.Cond != nil {
-			cond = ExprString(s.Cond)
+			writeExpr(b, s.Cond)
 		}
-		return fmt.Sprintf("for (;%s;)", cond)
+		b.WriteString(";)")
 	case *ReturnStmt:
+		b.WriteString("return")
 		if s.Result != nil {
-			return fmt.Sprintf("return %s", ExprString(s.Result))
+			b.WriteByte(' ')
+			writeExpr(b, s.Result)
 		}
-		return "return"
 	case *BreakStmt:
-		return "break"
+		b.WriteString("break")
 	case *ContinueStmt:
-		return "continue"
+		b.WriteString("continue")
 	case *SpawnStmt:
-		return fmt.Sprintf("spawn %s", ExprString(s.Call))
+		b.WriteString("spawn ")
+		writeExpr(b, s.Call)
 	case *SemStmt:
 		if s.Op == token.ACQUIRE {
-			return fmt.Sprintf("P(%s)", s.Sem.Name)
+			b.WriteString("P(")
+		} else {
+			b.WriteString("V(")
 		}
-		return fmt.Sprintf("V(%s)", s.Sem.Name)
+		b.WriteString(s.Sem.Name)
+		b.WriteByte(')')
 	case *SendStmt:
-		return fmt.Sprintf("send(%s,%s)", s.Chan.Name, ExprString(s.Value))
+		b.WriteString("send(")
+		b.WriteString(s.Chan.Name)
+		b.WriteByte(',')
+		writeExpr(b, s.Value)
+		b.WriteByte(')')
 	case *ExprStmt:
-		return ExprString(s.X)
+		writeExpr(b, s.X)
 	case *PrintStmt:
-		parts := make([]string, len(s.Args))
+		b.WriteString("print(")
 		for i, a := range s.Args {
-			parts[i] = ExprString(a)
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			writeExpr(b, a)
 		}
-		return "print(" + strings.Join(parts, ",") + ")"
+		b.WriteByte(')')
 	case *BlockStmt:
-		return "{...}"
+		b.WriteString("{...}")
+	default:
+		b.WriteString("<?stmt>")
 	}
-	return "<?stmt>"
 }

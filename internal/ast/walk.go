@@ -102,16 +102,33 @@ func Inspect(node Node, f func(Node) bool) {
 }
 
 // Stmts collects, in source order, every statement in the subtree rooted at
-// node (including nested blocks but excluding BlockStmt wrappers).
-func Stmts(node Node) []Stmt {
-	var out []Stmt
-	Inspect(node, func(n Node) bool {
-		if s, ok := n.(Stmt); ok {
-			if _, isBlock := s.(*BlockStmt); !isBlock {
-				out = append(out, s)
-			}
+// s (including nested blocks but excluding BlockStmt wrappers).
+func Stmts(s Stmt) []Stmt { return AppendStmts(nil, s) }
+
+// AppendStmts appends the statements Stmts collects to dst and returns the
+// result. It walks statements only, in the order Inspect visits them:
+// expressions hold no statements.
+func AppendStmts(dst []Stmt, s Stmt) []Stmt {
+	switch s := s.(type) {
+	case nil:
+		return dst
+	case *BlockStmt:
+		for _, x := range s.List {
+			dst = AppendStmts(dst, x)
 		}
-		return true
-	})
-	return out
+		return dst
+	}
+	dst = append(dst, s)
+	switch s := s.(type) {
+	case *IfStmt:
+		dst = AppendStmts(dst, s.Then)
+		dst = AppendStmts(dst, s.Else)
+	case *WhileStmt:
+		dst = AppendStmts(dst, s.Body)
+	case *ForStmt:
+		dst = AppendStmts(dst, s.Init)
+		dst = AppendStmts(dst, s.Post)
+		dst = AppendStmts(dst, s.Body)
+	}
+	return dst
 }

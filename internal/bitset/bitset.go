@@ -32,6 +32,43 @@ func New(n int) *Set {
 // words from one slice.
 func (s *Set) Init(words []uint64, n int) { s.words, s.n = words, n }
 
+// Slab hands out sets over one universe, carving them from shared backing
+// arrays a chunk at a time: a pass that makes many sets of one size pays
+// two allocations per chunk instead of two per set. Every set of a chunk
+// keeps the whole chunk alive, so a slab suits sets that share a lifetime.
+// The zero Slab is not usable; make one with NewSlab.
+type Slab struct {
+	n, nw int
+	chunk int // sets per chunk
+	sets  []Set
+	words []uint64
+}
+
+// NewSlab returns a slab of sets over [0, n) whose first chunk holds hint
+// sets; later chunks hold as many again.
+func NewSlab(n, hint int) *Slab {
+	return &Slab{n: n, nw: (n + wordBits - 1) / wordBits, chunk: max(hint, 1)}
+}
+
+// New returns an empty set over the slab's universe.
+func (sl *Slab) New() *Set {
+	if len(sl.sets) == 0 {
+		sl.sets = make([]Set, sl.chunk)
+		sl.words = make([]uint64, sl.chunk*sl.nw)
+	}
+	s := &sl.sets[0]
+	s.Init(sl.words[:sl.nw:sl.nw], sl.n)
+	sl.sets, sl.words = sl.sets[1:], sl.words[sl.nw:]
+	return s
+}
+
+// Clone returns a copy of o, which must be over the slab's universe.
+func (sl *Slab) Clone(o *Set) *Set {
+	s := sl.New()
+	copy(s.words, o.words)
+	return s
+}
+
 // FromSlice returns a set over [0, n) containing the given elements.
 func FromSlice(n int, elems []int) *Set {
 	s := New(n)

@@ -349,3 +349,41 @@ func BenchmarkBitsetVsListSets(b *testing.B) {
 		}
 	})
 }
+
+// TestSlabSetsAreIndependent checks that sets carved from one slab, across
+// chunk boundaries, never share words.
+func TestSlabSetsAreIndependent(t *testing.T) {
+	for _, n := range []int{0, 1, 64, 130} {
+		sl := NewSlab(n, 3)
+		var sets []*Set
+		for i := 0; i < 7; i++ {
+			sets = append(sets, sl.New())
+		}
+		for i, s := range sets {
+			if s.Len() != n || !s.IsEmpty() {
+				t.Fatalf("n=%d set %d: Len %d, empty %v", n, i, s.Len(), s.IsEmpty())
+			}
+			if n > 0 {
+				s.Add(i % n)
+				s.Add(n - 1)
+			}
+		}
+		for i, s := range sets {
+			want := New(n)
+			if n > 0 {
+				want.Add(i % n)
+				want.Add(n - 1)
+			}
+			if !s.Equal(want) {
+				t.Errorf("n=%d set %d = %s, want %s", n, i, s, want)
+			}
+		}
+		if n > 0 {
+			c := sl.Clone(sets[1])
+			c.Add(0)
+			if !sets[1].Equal(FromSlice(n, []int{1 % n, n - 1})) || !c.Has(0) || !c.Has(n-1) {
+				t.Errorf("n=%d: Clone shares words with its source", n)
+			}
+		}
+	}
+}

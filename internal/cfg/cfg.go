@@ -97,6 +97,9 @@ func (g *Graph) Dominates(a, b NodeID) bool {
 type builder struct {
 	g *Graph
 
+	nodes []Node   // slab the next nodes come from
+	ids   []NodeID // slab of two-element edge lists
+
 	// Loop stacks: continueTargets holds the node a continue jumps to;
 	// breakTargets only tracks depth (break edges are collected per loop in
 	// pendingBreaks and wired to the loop's exit frontier by the caller).
@@ -105,10 +108,17 @@ type builder struct {
 	pendingBreaks   map[int][]NodeID
 }
 
-// Build constructs the CFG for fn and runs all analyses.
-func Build(fn *sem.FuncInfo) *Graph {
-	g := &Graph{Fn: fn, byStmt: make(map[ast.StmtID]NodeID)}
-	b := &builder{g: g}
+// Build constructs the CFG for fn and runs all analyses. numStmts, the
+// function's statement count (blocks excluded), sizes the graph: a node per
+// statement plus ENTRY and EXIT, allocated together.
+func Build(fn *sem.FuncInfo, numStmts int) *Graph {
+	n := numStmts + 2
+	g := &Graph{
+		Fn:     fn,
+		Nodes:  make([]*Node, 0, n),
+		byStmt: make(map[ast.StmtID]NodeID, numStmts),
+	}
+	b := &builder{g: g, nodes: make([]Node, n), ids: make([]NodeID, 4*n)}
 	b.newNode(nil, false) // entry
 	b.newNode(nil, false) // exit
 
@@ -131,7 +141,13 @@ func Build(fn *sem.FuncInfo) *Graph {
 
 func (b *builder) newNode(s ast.Stmt, branch bool) NodeID {
 	id := NodeID(len(b.g.Nodes))
-	n := &Node{ID: id, Stmt: s, IsBranch: branch}
+	var n *Node
+	if len(b.nodes) > 0 {
+		n, b.nodes = &b.nodes[0], b.nodes[1:]
+	} else {
+		n = new(Node)
+	}
+	n.ID, n.Stmt, n.IsBranch = id, s, branch
 	b.g.Nodes = append(b.g.Nodes, n)
 	if s != nil && s.ID() != ast.NoStmt {
 		b.g.byStmt[s.ID()] = id
@@ -140,8 +156,19 @@ func (b *builder) newNode(s ast.Stmt, branch bool) NodeID {
 }
 
 func (b *builder) edge(from, to NodeID) {
-	b.g.Nodes[from].Succs = append(b.g.Nodes[from].Succs, to)
-	b.g.Nodes[to].Preds = append(b.g.Nodes[to].Preds, from)
+	f, t := b.g.Nodes[from], b.g.Nodes[to]
+	f.Succs = append(b.list(f.Succs), to)
+	t.Preds = append(b.list(t.Preds), from)
+}
+
+// list returns l, or an empty list with room for two edges from the slab
+// when l is nil: most nodes have one or two of each.
+func (b *builder) list(l []NodeID) []NodeID {
+	if l != nil || len(b.ids) < 2 {
+		return l
+	}
+	l, b.ids = b.ids[:0:2], b.ids[2:]
+	return l
 }
 
 // buildBlock threads the statements of blk after the given predecessor
@@ -359,7 +386,9 @@ func computeIdom(n, root int, preds, succs func(int) []NodeID) []NodeID {
 // control dependent on (FOW algorithm over the postdominator tree).
 func (g *Graph) computeControlDeps() {
 	g.CtrlDeps = make([][]NodeID, len(g.Nodes))
-	seen := make(map[[2]NodeID]bool)
+	// seenFor[y] = x+1 once y is recorded as control dependent on x; each
+	// branch x is handled in one pass, so one mark per node suffices.
+	seenFor := make([]NodeID, len(g.Nodes))
 	for _, x := range g.Nodes {
 		if len(x.Succs) < 2 {
 			continue
@@ -369,9 +398,8 @@ func (g *Graph) computeControlDeps() {
 			stop := g.ipdom[x.ID]
 			cur := y
 			for cur != -1 && cur != stop {
-				key := [2]NodeID{cur, x.ID}
-				if !seen[key] {
-					seen[key] = true
+				if seenFor[cur] != x.ID+1 {
+					seenFor[cur] = x.ID + 1
 					g.CtrlDeps[cur] = append(g.CtrlDeps[cur], x.ID)
 				}
 				cur = g.ipdom[cur]

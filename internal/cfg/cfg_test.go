@@ -21,7 +21,7 @@ func buildFor(t *testing.T, src, fn string) (*Graph, *sem.Info) {
 	if !ok {
 		t.Fatalf("no function %q", fn)
 	}
-	return Build(fi), info
+	return Build(fi, 0), info
 }
 
 // stmtNode finds the CFG node whose statement renders as the given summary.

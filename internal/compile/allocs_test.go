@@ -1,23 +1,40 @@
 package compile
 
 import (
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"ppd/internal/eblock"
+	"ppd/internal/mplgen"
 	"ppd/internal/source"
 	"ppd/internal/workloads"
 )
 
 // hydratePrograms are the sync-heavy triage families at their triage
-// sizes.
+// sizes, and one racy and one race-free mplgen program from the
+// 1,800–2,200-byte band the triage benchmark draws its generated programs
+// from.
 func hydratePrograms() []*workloads.Workload {
+	rng := rand.New(rand.NewSource(101))
 	return []*workloads.Workload{
 		workloads.RacyTicker(4, 60),
 		workloads.TokenRing(4, 40),
 		workloads.ProdCons(150),
 		workloads.Sharded(4, 40),
+		{Name: "mplgen-racy", Src: generateInBand(rng, mplgen.RacyConfig())},
+		{Name: "mplgen-par", Src: generateInBand(rng, mplgen.ParallelConfig())},
+	}
+}
+
+// generateInBand draws mplgen programs from rng until one's source is
+// 1,800 to 2,200 bytes long.
+func generateInBand(rng *rand.Rand, cfg mplgen.Config) string {
+	for {
+		if src := mplgen.Generate(rng.Int63(), cfg); len(src) >= 1800 && len(src) <= 2200 {
+			return src
+		}
 	}
 }
 
@@ -65,16 +82,22 @@ func BenchmarkHydrate(b *testing.B) {
 
 // TestHydrateAllocsCeiling gates the allocations of one hydrate over
 // BenchmarkHydrate's programs. When the per-function passes ran through a
-// worker pool and merged per-function partials, the same hydrates made
-// 1,522, 2,422, 2,355 and 3,416 allocations here (one CPU, the pool
-// inline).
+// worker pool and merged per-function partials, the four families'
+// hydrates made 1,522, 2,422, 2,355 and 3,416 allocations here (one CPU,
+// the pool inline). Before the passes carved their sets and nodes from
+// slabs and stopped re-walking the AST they made 1,490, 2,378, 2,308 and
+// 3,361, and the two mplgen programs 5,983 and 6,085; now 439, 640, 683,
+// 885, 1,320 and 1,348.
 func TestHydrateAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ceiling := map[string]float64{"racy-ticker": 1510, "tokenring": 2400, "prodcons": 2330, "sharded-4x40": 3385}
+	ceiling := map[string]float64{
+		"racy-ticker": 445, "tokenring": 650, "prodcons": 690, "sharded-4x40": 895,
+		"mplgen-racy": 1335, "mplgen-par": 1365,
+	}
 	for _, wl := range hydratePrograms() {
 		checkCeiling(t, wl.Name+" hydrate", testing.AllocsPerRun(3, warmHydrate(t, wl)), ceiling[wl.Name])
 	}
@@ -82,7 +105,8 @@ func TestHydrateAllocsCeiling(t *testing.T) {
 
 // TestCompileAllocsCeiling gates the allocations of a cold compile of the
 // widest program, Sharded 64×4 (BenchmarkCompileCached/cold). The
-// worker-pool pipeline made 93,673 allocations here.
+// worker-pool pipeline made 93,673 allocations here, the sequential one
+// 93,070 before its passes allocated from slabs, and 41,952 after.
 func TestCompileAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -95,7 +119,7 @@ func TestCompileAllocsCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	checkCeiling(t, w.Name+" cold compile", got, 93300)
+	checkCeiling(t, w.Name+" cold compile", got, 42400)
 }
 
 func checkCeiling(t *testing.T, what string, got, ceiling float64) {

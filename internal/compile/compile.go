@@ -125,16 +125,18 @@ func Compile(file *source.File, o Opts) (*Artifacts, error) {
 	}
 	// The key carries the fingerprint of the table the pipeline really
 	// fuses with: the default one when Fusion is nil, none under NoFusion.
-	tab := o.Fusion
+	var fusion string
 	switch {
 	case o.NoFusion:
-		tab = nil
-	case tab == nil:
-		tab = bytecode.DefaultFusionTable()
+		fusion = (*bytecode.FusionTable)(nil).Fingerprint()
+	case o.Fusion == nil:
+		fusion = defaultFusionFingerprint()
+	default:
+		fusion = o.Fusion.Fingerprint()
 	}
 	cfg, sink := o.Config, o.Sink
 	cache := &progdb.Cache{Dir: o.CacheDir}
-	key := progdb.CacheKey(file.Name, file.Content, cfg, tab.Fingerprint(), absint.Fingerprint)
+	key := progdb.CacheKey(file.Name, file.Content, cfg, fusion, absint.Fingerprint)
 	if cp, size, err := cache.Load(key); err == nil && cp != nil {
 		if sink != nil {
 			sink.Counter("compile.cache.hits").Add(1)
@@ -165,6 +167,12 @@ func Compile(file *source.File, o Opts) (*Artifacts, error) {
 	}
 	return art, nil
 }
+
+// defaultFusionFingerprint is the default fusion table's cache-key
+// fingerprint, computed once.
+var defaultFusionFingerprint = sync.OnceValue(func() string {
+	return bytecode.DefaultFusionTable().Fingerprint()
+})
 
 // Vet runs the static-analysis passes over the compiled program and
 // persists the result in the program database: repeated calls (from the

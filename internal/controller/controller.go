@@ -149,8 +149,7 @@ func New(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *Controller
 	c.epool = emulation.NewPool(art.Prog, max(2, runtime.GOMAXPROCS(0)), cfg.Obs)
 	c.emus = make([]*emulation.Emulator, len(pl.Books))
 	for pid, book := range pl.Books {
-		c.emus[pid] = emulation.New(art.Prog, book)
-		c.emus[pid].SetPool(c.epool)
+		c.emus[pid] = emulation.NewWithPool(art.Prog, book, c.epool)
 	}
 	sc.End()
 	return c

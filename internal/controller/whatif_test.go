@@ -351,8 +351,7 @@ func TestEmuAllocsCeiling(t *testing.T) {
 		ems := make([]*emulation.Emulator, len(v.Log.Books))
 		pool := emulation.NewPool(art.Prog, 2, nil)
 		for pid, book := range v.Log.Books {
-			ems[pid] = emulation.New(art.Prog, book)
-			ems[pid].SetPool(pool)
+			ems[pid] = emulation.NewWithPool(art.Prog, book, pool)
 			for i, r := range book.Records {
 				if r.Kind == logging.RecPrelog && len(jobs) < 200 {
 					jobs = append(jobs, job{pid, i})

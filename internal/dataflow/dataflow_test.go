@@ -21,8 +21,8 @@ func setup(t *testing.T, src, fn string) (*Space, *cfg.Graph, map[ast.StmtID]*Us
 	}
 	fi := info.Funcs[fn]
 	space := NewSpace(info, fi)
-	uds := ComputeUseDef(space)
-	g := cfg.Build(fi)
+	uds := ComputeUseDef(space, 0)
+	g := cfg.Build(fi, 0)
 	return space, g, uds, info
 }
 
@@ -272,7 +272,7 @@ func main() {
 		t.Fatal(errs.Err())
 	}
 	space := NewSpace(info, info.Funcs["main"])
-	uds := ComputeUseDef(space)
+	uds := ComputeUseDef(space, 0)
 
 	gid := info.GlobalByName("g").GlobalID
 	callID := findStmt(t, info, "main", "setg(3)")

@@ -32,9 +32,10 @@ func ComputeLiveness(space *Space, g *cfg.Graph, uds map[ast.StmtID]*UseDef) *Li
 		In:    make([]*bitset.Set, n),
 		Out:   make([]*bitset.Set, n),
 	}
+	sets := bitset.NewSlab(space.Size(), 2*n+1)
 	for i := 0; i < n; i++ {
-		lv.In[i] = space.NewSet()
-		lv.Out[i] = space.NewSet()
+		lv.In[i] = sets.New()
+		lv.Out[i] = sets.New()
 	}
 
 	use := func(id cfg.NodeID) *bitset.Set {
@@ -57,7 +58,7 @@ func ComputeLiveness(space *Space, g *cfg.Graph, uds map[ast.StmtID]*UseDef) *Li
 	}
 
 	changed := true
-	tmp := space.NewSet()
+	tmp := sets.New()
 	for changed {
 		changed = false
 		// Reverse iteration converges faster for a backward analysis.

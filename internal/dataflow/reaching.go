@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"sort"
+
 	"ppd/internal/ast"
 	"ppd/internal/bitset"
 	"ppd/internal/cfg"
@@ -19,9 +21,11 @@ type DefSite struct {
 type Reaching struct {
 	Space *Space
 	Graph *cfg.Graph
-	Sites []DefSite // dense site numbering
+	Sites []DefSite // dense site numbering, grouped by node in node order
 
-	siteOf map[DefSite]int
+	// first[n] is node n's first site: its sites are Sites[first[n]:first[n+1]],
+	// in increasing variable order.
+	first []int
 	// defsOfVar[v] = bitset over sites that define v (used for kills).
 	defsOfVar []*bitset.Set
 
@@ -35,78 +39,70 @@ type Reaching struct {
 // the given per-statement UseDef facts (already widened by call effects if
 // interprocedural precision is wanted).
 func ComputeReaching(space *Space, g *cfg.Graph, uds map[ast.StmtID]*UseDef) *Reaching {
-	r := &Reaching{
-		Space:  space,
-		Graph:  g,
-		siteOf: make(map[DefSite]int),
-		UD:     uds,
-	}
+	r := &Reaching{Space: space, Graph: g, UD: uds}
 
-	// Enumerate def sites. ENTRY defines params and globals.
-	addSite := func(n cfg.NodeID, v int) {
-		ds := DefSite{Node: n, Var: v}
-		if _, ok := r.siteOf[ds]; ok {
-			return
-		}
-		r.siteOf[ds] = len(r.Sites)
-		r.Sites = append(r.Sites, ds)
-	}
-	for _, p := range space.Fn.Params {
-		addSite(cfg.EntryNode, space.Index(p))
-	}
-	for gid := 0; gid < space.Info.NumGlobals(); gid++ {
-		addSite(cfg.EntryNode, space.GlobalIndex(gid))
-	}
+	// Enumerate def sites, node by node. ENTRY defines params and globals,
+	// each statement node the variables of its Def set.
+	nodeUD := make([]*UseDef, len(g.Nodes))
+	nSites := len(space.Fn.Params) + space.Info.NumGlobals()
 	for _, n := range g.Nodes {
 		if n.Stmt == nil {
 			continue
 		}
-		ud := uds[n.Stmt.ID()]
-		if ud == nil {
-			continue
+		if ud := uds[n.Stmt.ID()]; ud != nil {
+			nodeUD[n.ID] = ud
+			nSites += ud.Def.Count()
 		}
-		ud.Def.ForEach(func(v int) { addSite(n.ID, v) })
 	}
+	r.Sites = make([]DefSite, 0, nSites)
+	r.first = make([]int, len(g.Nodes)+1)
+	for _, n := range g.Nodes {
+		r.first[n.ID] = len(r.Sites)
+		if n.ID == cfg.EntryNode {
+			for _, p := range space.Fn.Params {
+				r.Sites = append(r.Sites, DefSite{Node: n.ID, Var: space.Index(p)})
+			}
+			for gid := 0; gid < space.Info.NumGlobals(); gid++ {
+				r.Sites = append(r.Sites, DefSite{Node: n.ID, Var: space.GlobalIndex(gid)})
+			}
+		} else if ud := nodeUD[n.ID]; ud != nil {
+			ud.Def.ForEach(func(v int) { r.Sites = append(r.Sites, DefSite{Node: n.ID, Var: v}) })
+		}
+	}
+	r.first[len(g.Nodes)] = len(r.Sites)
 
-	nSites := len(r.Sites)
+	// The result's sets come from one slab; GEN, KILL and the fixpoint's
+	// scratch set from another, which dies with this call.
+	kept := bitset.NewSlab(nSites, space.Size()+2*len(g.Nodes))
+	scratch := bitset.NewSlab(nSites, 2*len(g.Nodes)+1)
 	r.defsOfVar = make([]*bitset.Set, space.Size())
 	for v := range r.defsOfVar {
-		r.defsOfVar[v] = bitset.New(nSites)
+		r.defsOfVar[v] = kept.New()
 	}
 	for i, ds := range r.Sites {
 		r.defsOfVar[ds.Var].Add(i)
 	}
 
-	// GEN and KILL per node.
+	// GEN and KILL per node: a node generates all its sites, and kills
+	// every other site of each variable it defines strongly.
 	gen := make([]*bitset.Set, len(g.Nodes))
 	kill := make([]*bitset.Set, len(g.Nodes))
-	for i := range g.Nodes {
-		gen[i] = bitset.New(nSites)
-		kill[i] = bitset.New(nSites)
-	}
-	// ENTRY generates its sites.
-	for _, p := range space.Fn.Params {
-		gen[cfg.EntryNode].Add(r.siteOf[DefSite{cfg.EntryNode, space.Index(p)}])
-	}
-	for gid := 0; gid < space.Info.NumGlobals(); gid++ {
-		gen[cfg.EntryNode].Add(r.siteOf[DefSite{cfg.EntryNode, space.GlobalIndex(gid)}])
-	}
 	for _, n := range g.Nodes {
-		if n.Stmt == nil {
-			continue
+		gen[n.ID], kill[n.ID] = scratch.New(), scratch.New()
+		for site := r.first[n.ID]; site < r.first[n.ID+1]; site++ {
+			gen[n.ID].Add(site)
 		}
-		ud := uds[n.Stmt.ID()]
+		ud := nodeUD[n.ID]
 		if ud == nil {
 			continue
 		}
-		ud.Def.ForEach(func(v int) {
-			gen[n.ID].Add(r.siteOf[DefSite{n.ID, v}])
-		})
+		k := kill[n.ID]
 		ud.Kill.ForEach(func(v int) {
-			k := kill[n.ID]
 			k.UnionWith(r.defsOfVar[v])
 			// A statement does not kill its own definition.
-			k.Remove(r.siteOf[DefSite{n.ID, v}])
+			if site := r.siteOf(n.ID, v); site >= 0 {
+				k.Remove(site)
+			}
 		})
 	}
 
@@ -114,11 +110,11 @@ func ComputeReaching(space *Space, g *cfg.Graph, uds map[ast.StmtID]*UseDef) *Re
 	r.In = make([]*bitset.Set, len(g.Nodes))
 	r.Out = make([]*bitset.Set, len(g.Nodes))
 	for i := range g.Nodes {
-		r.In[i] = bitset.New(nSites)
-		r.Out[i] = bitset.New(nSites)
+		r.In[i] = kept.New()
+		r.Out[i] = kept.New()
 	}
 	changed := true
-	tmp := bitset.New(nSites)
+	tmp := scratch.New()
 	for changed {
 		changed = false
 		for _, n := range g.Nodes {
@@ -136,6 +132,16 @@ func ComputeReaching(space *Space, g *cfg.Graph, uds map[ast.StmtID]*UseDef) *Re
 		}
 	}
 	return r
+}
+
+// siteOf returns the site at which node n defines v, or -1.
+func (r *Reaching) siteOf(n cfg.NodeID, v int) int {
+	lo, hi := r.first[n], r.first[n+1]
+	i := lo + sort.Search(hi-lo, func(i int) bool { return r.Sites[lo+i].Var >= v })
+	if i < hi && r.Sites[i].Var == v {
+		return i
+	}
+	return -1
 }
 
 // ReachingDefsOf returns the definition sites of variable v that reach node
@@ -163,6 +169,7 @@ type DUEdge struct {
 // the data-dependence edges of the static PDG.
 func (r *Reaching) DefUseChains() []DUEdge {
 	var out []DUEdge
+	var uses, sites []int
 	for _, n := range r.Graph.Nodes {
 		if n.Stmt == nil {
 			continue
@@ -171,11 +178,13 @@ func (r *Reaching) DefUseChains() []DUEdge {
 		if ud == nil {
 			continue
 		}
-		ud.Use.ForEach(func(v int) {
-			for _, ds := range r.ReachingDefsOf(n.ID, v) {
-				out = append(out, DUEdge{Def: ds, Use: n.ID, Var: v})
+		uses = ud.Use.AppendTo(uses)
+		for _, v := range uses {
+			sites = bitset.AppendIntersection(sites[:0], r.defsOfVar[v], r.In[n.ID])
+			for _, site := range sites {
+				out = append(out, DUEdge{Def: r.Sites[site], Use: n.ID, Var: v})
 			}
-		})
+		}
 	}
 	return out
 }

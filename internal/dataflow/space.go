@@ -80,6 +80,17 @@ func (s *Space) GlobalsOnly(set *bitset.Set) *bitset.Set {
 	return out
 }
 
+// AddGlobals adds the global portion of a space-set to dst, a set over
+// GlobalIDs, keeping only the globals mask holds when mask is non-nil:
+// GlobalsOnly without building a set.
+func (s *Space) AddGlobals(dst, set, mask *bitset.Set) {
+	set.ForEach(func(i int) {
+		if g := s.GlobalID(i); s.IsGlobal(i) && (mask == nil || mask.Has(g)) {
+			dst.Add(g)
+		}
+	})
+}
+
 // InjectGlobals adds a GlobalID-set into a space-set.
 func (s *Space) InjectGlobals(dst *bitset.Set, globals *bitset.Set) {
 	globals.ForEach(func(g int) { dst.Add(s.GlobalIndex(g)) })

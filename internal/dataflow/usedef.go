@@ -28,25 +28,35 @@ type UseDef struct {
 type CallEffects func(callee string) (used, defined *bitset.Set)
 
 // ComputeUseDef builds the direct (intraprocedural) UseDef for every
-// statement of the function, keyed by StmtID.
-func ComputeUseDef(space *Space) map[ast.StmtID]*UseDef {
-	out := make(map[ast.StmtID]*UseDef)
-	c := &udCollector{space: space, out: out}
+// statement of the function, keyed by StmtID. numStmts, the function's
+// statement count (blocks excluded), sizes the result so that its facts
+// come from one slab; a smaller count only costs more allocations.
+func ComputeUseDef(space *Space, numStmts int) map[ast.StmtID]*UseDef {
+	c := &udCollector{
+		space: space,
+		out:   make(map[ast.StmtID]*UseDef, numStmts),
+		uds:   make([]UseDef, numStmts),
+		sets:  bitset.NewSlab(space.Size(), 3*numStmts),
+	}
 	c.block(space.Fn.Decl.Body)
-	return out
+	return c.out
 }
 
 type udCollector struct {
 	space *Space
 	out   map[ast.StmtID]*UseDef
+	uds   []UseDef // slab the next facts come from
+	sets  *bitset.Slab
 }
 
 func (c *udCollector) fresh(id ast.StmtID) *UseDef {
-	ud := &UseDef{
-		Use:  c.space.NewSet(),
-		Def:  c.space.NewSet(),
-		Kill: c.space.NewSet(),
+	var ud *UseDef
+	if len(c.uds) > 0 {
+		ud, c.uds = &c.uds[0], c.uds[1:]
+	} else {
+		ud = new(UseDef)
 	}
+	ud.Use, ud.Def, ud.Kill = c.sets.New(), c.sets.New(), c.sets.New()
 	c.out[id] = ud
 	return ud
 }

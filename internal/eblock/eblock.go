@@ -245,79 +245,106 @@ func (plan *Plan) addInlinedEffects(fn string, used, defined *bitset.Set, seen m
 }
 
 func (plan *Plan) addLoopBlocks(fn *sem.FuncInfo) {
-	p := plan.PDG
-	f := p.Funcs[fn.Name()]
-	space := f.Space
-	live := dataflow.ComputeLiveness(space, f.CFG, f.UseDefs)
-
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		var body *ast.BlockStmt
-		var loopStmt ast.Stmt
-		switch s := n.(type) {
+	f := plan.PDG.Funcs[fn.Name()]
+	var live *dataflow.Liveness // computed for the first loop block
+	var body []ast.Stmt
+	var visit func(ast.Stmt)
+	visit = func(s ast.Stmt) {
+		var loopBody *ast.BlockStmt
+		switch s := s.(type) {
+		case *ast.BlockStmt:
+			for _, st := range s.List {
+				visit(st)
+			}
+			return
+		case *ast.IfStmt:
+			visit(s.Then)
+			visit(s.Else)
+			return
 		case *ast.WhileStmt:
-			body, loopStmt = s.Body, s
+			loopBody = s.Body
 		case *ast.ForStmt:
-			body, loopStmt = s.Body, s
+			loopBody = s.Body
 		default:
-			return true
+			return
 		}
-		if len(ast.Stmts(body)) < plan.Config.LoopBlockMinStmts {
-			return true
-		}
+		var syncy bool
+		body, syncy = plan.loopBody(body[:0], loopBody)
 		// A loop containing synchronization must not be an e-block: its
 		// iterations interleave with other processes, so skipping it with a
-		// postlog would skip sync events the parallel graph needs.
-		syncy := false
-		ast.Inspect(body, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.SemStmt, *ast.SendStmt, *ast.SpawnStmt, *ast.RecvExpr:
-				syncy = true
-			case *ast.CallExpr:
-				if cs, ok := p.Inter.Summaries[x.Fun.Name]; ok && cs.UsesSync {
-					syncy = true
-				}
-			}
+		// postlog would skip sync events the parallel graph needs. Nor is
+		// a small loop worth one. An inner loop might still qualify.
+		if syncy || len(body) < plan.Config.LoopBlockMinStmts {
+			visit(loopBody)
+			return
+		}
+		if live == nil {
+			live = dataflow.ComputeLiveness(f.Space, f.CFG, f.UseDefs)
+		}
+		// Loops nested inside this one get no blocks: the outer block
+		// already skips them.
+		plan.addLoopBlock(f, s, body, live)
+	}
+	visit(fn.Decl.Body)
+}
+
+// loopBody appends the statements of a loop body to buf, in source order
+// and without block wrappers, and reports whether any of them
+// synchronizes, directly or through a call.
+func (plan *Plan) loopBody(buf []ast.Stmt, body *ast.BlockStmt) ([]ast.Stmt, bool) {
+	syncy := false
+	ast.Inspect(body, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.BlockStmt:
 			return true
-		})
-		if syncy {
-			return true // still recurse: an inner loop might qualify
-		}
-
-		b := plan.newBlock(LoopBlock, fn)
-		b.Loop = loopStmt
-		b.Used = space.NewSet()
-		b.Defined = space.NewSet()
-
-		// Union the widened UseDef of every statement in the loop,
-		// including the loop predicate itself and (for for-loops) the post
-		// statement. The init statement runs before the loop head, outside
-		// the block.
-		collect := func(id ast.StmtID) {
-			if ud, ok := f.UseDefs[id]; ok {
-				b.Used.UnionWith(ud.Use)
-				b.Defined.UnionWith(ud.Def)
+		case *ast.SemStmt, *ast.SendStmt, *ast.SpawnStmt, *ast.RecvExpr:
+			syncy = true
+		case *ast.CallExpr:
+			if cs, ok := plan.PDG.Inter.Summaries[x.Fun.Name]; ok && cs.UsesSync {
+				syncy = true
 			}
 		}
-		collect(loopStmt.ID())
-		for _, s := range ast.Stmts(body) {
-			collect(s.ID())
+		if s, ok := x.(ast.Stmt); ok {
+			buf = append(buf, s)
 		}
-		if fs, ok := loopStmt.(*ast.ForStmt); ok && fs.Post != nil {
-			collect(fs.Post.ID())
-		}
-
-		// Trim dead locals from the postlog set: substitution only has to
-		// restore values the continuation can observe (live-variable
-		// analysis; the paper's §5.4 log-size concern).
-		trimDeadLocals(f, space, live, loopStmt, b.Defined)
-
-		b.UsedGlobals = space.GlobalsOnly(b.Used)
-		b.DefinedGlobals = space.GlobalsOnly(b.Defined)
-		plan.ByLoop[loopStmt.ID()] = b
-		// Do not create blocks for loops nested inside this one: the outer
-		// block already skips them.
-		return false
+		return true
 	})
+	return buf, syncy
+}
+
+// addLoopBlock makes the e-block of loopStmt, whose body holds body.
+func (plan *Plan) addLoopBlock(f *pdg.FuncPDG, loopStmt ast.Stmt, body []ast.Stmt, live *dataflow.Liveness) {
+	space := f.Space
+	b := plan.newBlock(LoopBlock, f.Fn)
+	b.Loop = loopStmt
+	b.Used = space.NewSet()
+	b.Defined = space.NewSet()
+
+	// Union the widened UseDef of every statement in the loop, including
+	// the loop predicate itself and (for for-loops) the post statement.
+	// The init statement runs before the loop head, outside the block.
+	collect := func(id ast.StmtID) {
+		if ud, ok := f.UseDefs[id]; ok {
+			b.Used.UnionWith(ud.Use)
+			b.Defined.UnionWith(ud.Def)
+		}
+	}
+	collect(loopStmt.ID())
+	for _, s := range body {
+		collect(s.ID())
+	}
+	if fs, ok := loopStmt.(*ast.ForStmt); ok && fs.Post != nil {
+		collect(fs.Post.ID())
+	}
+
+	// Trim dead locals from the postlog set: substitution only has to
+	// restore values the continuation can observe (live-variable analysis;
+	// the paper's §5.4 log-size concern).
+	trimDeadLocals(f, space, live, loopStmt, b.Defined)
+
+	b.UsedGlobals = space.GlobalsOnly(b.Used)
+	b.DefinedGlobals = space.GlobalsOnly(b.Defined)
+	plan.ByLoop[loopStmt.ID()] = b
 }
 
 // trimDeadLocals removes from the loop block's defined set every local that

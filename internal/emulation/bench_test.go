@@ -43,10 +43,11 @@ func BenchmarkEmulateInto(b *testing.B) {
 		emulators := func(pool *Pool) []*Emulator {
 			ems := make([]*Emulator, len(v.Log.Books))
 			for pid, book := range v.Log.Books {
-				ems[pid] = New(art.Prog, book)
-				ems[pid].Generic = pool == nil
 				if pool != nil {
-					ems[pid].SetPool(pool)
+					ems[pid] = NewWithPool(art.Prog, book, pool)
+				} else {
+					ems[pid] = New(art.Prog, book)
+					ems[pid].Generic = true
 				}
 			}
 			return ems

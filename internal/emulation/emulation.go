@@ -75,9 +75,8 @@ type Emulator struct {
 	// every EmulateFresh through a fresh VM that records the full trace.
 	Generic bool
 
-	// pool supplies reusable replay contexts. New installs a private
-	// bounded pool; the controller replaces it with one shared across all
-	// per-process emulators (SetPool).
+	// pool supplies reusable replay contexts: a private bounded pool from
+	// New, or one shared across all per-process emulators (NewWithPool).
 	pool *Pool
 
 	// runs counts VM re-executions performed (Emulate + EmulateFresh) —
@@ -86,18 +85,18 @@ type Emulator struct {
 	runs atomic.Int64
 }
 
-// New returns an emulator over a process's log book.
+// New returns an emulator over a process's log book, with a private
+// bounded replay-context pool.
 func New(prog *bytecode.Program, book *logging.Book) *Emulator {
-	return &Emulator{Prog: prog, Book: book, pool: NewPool(prog, DefaultPoolBound, nil)}
+	return NewWithPool(prog, book, NewPool(prog, DefaultPoolBound, nil))
 }
 
-// SetPool installs a shared replay-context pool. The controller points
-// every process's emulator at one bounded pool so concurrent sessions
-// cannot hoard a VM per in-flight query.
-func (e *Emulator) SetPool(p *Pool) {
-	if p != nil {
-		e.pool = p
-	}
+// NewWithPool returns an emulator over a process's log book that takes its
+// replay contexts from pool, which other emulators may share. The
+// controller points every process's emulator at one bounded pool so
+// concurrent sessions cannot hoard a VM per in-flight query.
+func NewWithPool(prog *bytecode.Program, book *logging.Book, pool *Pool) *Emulator {
+	return &Emulator{Prog: prog, Book: book, pool: pool}
 }
 
 // Emulations returns how many VM re-executions this emulator has performed.

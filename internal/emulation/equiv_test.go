@@ -158,10 +158,9 @@ func newReplayers(prog *bytecode.Program, book *logging.Book, maxSteps int64) *r
 // onePool returns an emulator whose pool holds one context, on a VM built
 // with opts.
 func onePool(prog *bytecode.Program, book *logging.Book, opts vm.Options) (*Emulator, *Pool) {
-	e, pool := New(prog, book), NewPool(prog, 1, nil)
+	pool := NewPool(prog, 1, nil)
 	pool.put(&Context{machine: vm.New(prog, opts)})
-	e.SetPool(pool)
-	return e, pool
+	return NewWithPool(prog, book, pool), pool
 }
 
 // freshPair replays the interval at idx as an unmodified what-if both
@@ -328,8 +327,7 @@ func TestPoolReuseObservable(t *testing.T) {
 	_ = v.Run()
 
 	sink := obs.New()
-	em := New(art.Prog, v.Log.Books[0])
-	em.SetPool(NewPool(art.Prog, 2, sink))
+	em := NewWithPool(art.Prog, v.Log.Books[0], NewPool(art.Prog, 2, sink))
 	idx := em.FirstPrelog()
 	if idx < 0 {
 		t.Fatal("no prelog")
@@ -420,8 +418,7 @@ func TestEmulateConcurrentWidths(t *testing.T) {
 			pool := NewPool(art.Prog, 4, nil)
 			emus := make([]*Emulator, len(v.Log.Books))
 			for pid, book := range v.Log.Books {
-				emus[pid] = New(art.Prog, book)
-				emus[pid].SetPool(pool)
+				emus[pid] = NewWithPool(art.Prog, book, pool)
 			}
 			run := func(j job) {
 				got, err := emus[j.pid].Emulate(j.idx)

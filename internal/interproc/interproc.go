@@ -63,6 +63,8 @@ type Result struct {
 
 	// Spaces holds each function's variable space.
 	Spaces map[string]*dataflow.Space
+
+	spawnTargets map[string]bool
 }
 
 // Effects returns a dataflow.CallEffects callback backed by the summaries.
@@ -79,77 +81,69 @@ func (r *Result) Effects() dataflow.CallEffects {
 // directFacts computes pass 1 (local dataflow, call-graph edges, sync
 // markers) for one function and records its space, use-defs and summary.
 // It reads only the AST and the checker's symbol tables, never another
-// function's facts.
-func (r *Result) directFacts(fn *sem.FuncInfo) {
-	info := r.Info
-	nGlobals := info.NumGlobals()
-	space := dataflow.NewSpace(info, fn)
-	uds := dataflow.ComputeUseDef(space)
+// function's facts, and walks the body once.
+func (r *Result) directFacts(fn *sem.FuncInfo, sets *bitset.Slab) {
+	s := &FuncSummary{Fn: fn}
 
-	s := &FuncSummary{
-		Fn:            fn,
-		DirectUsed:    bitset.New(nGlobals),
-		DirectDefined: bitset.New(nGlobals),
-		SpawnedOnly:   make(map[string]bool),
+	// Callees in first-call order, each with whether some call of it is
+	// plain (not a spawn). Inspect visits a SpawnStmt's own CallExpr right
+	// after the statement, so spawnCall marks the one call that is not
+	// plain.
+	var plain []bool
+	var spawnCall *ast.CallExpr
+	callee := func(name string, isPlain bool) {
+		for i, c := range s.Callees {
+			if c == name {
+				plain[i] = plain[i] || isPlain
+				return
+			}
+		}
+		s.Callees = append(s.Callees, name)
+		plain = append(plain, isPlain)
 	}
-	for _, ud := range uds {
-		s.DirectUsed.UnionWith(space.GlobalsOnly(ud.Use))
-		s.DirectDefined.UnionWith(space.GlobalsOnly(ud.Def))
-	}
-
-	seen := make(map[string]bool)
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.BlockStmt:
 		case ast.Stmt:
-			if _, isBlock := n.(*ast.BlockStmt); !isBlock {
-				s.NumStmts++
-			}
+			s.NumStmts++
 			switch st := n.(type) {
 			case *ast.SemStmt, *ast.SendStmt:
 				s.UsesSync = true
 			case *ast.SpawnStmt:
 				s.UsesSync = true
-				name := st.Call.Fun.Name
-				if !seen[name] {
-					seen[name] = true
-					s.Callees = append(s.Callees, name)
-				}
+				spawnCall = st.Call
+				callee(st.Call.Fun.Name, false)
+				r.spawnTargets[st.Call.Fun.Name] = true
 			}
 		case *ast.RecvExpr:
 			s.UsesSync = true
 		case *ast.CallExpr:
-			name := n.Fun.Name
-			if !seen[name] {
-				seen[name] = true
-				s.Callees = append(s.Callees, name)
+			callee(n.Fun.Name, n != spawnCall)
+		}
+		return true
+	})
+	s.IsLeaf = true
+	for i, c := range s.Callees {
+		if plain[i] {
+			s.IsLeaf = false
+		} else {
+			if s.SpawnedOnly == nil {
+				s.SpawnedOnly = make(map[string]bool)
 			}
-		}
-		return true
-	})
-	// Spawn targets inside CallExpr of SpawnStmt were visited as
-	// CallExpr too; distinguish: spawned-only = in Callees but never a
-	// plain call. SpawnStmt.Call is itself a *ast.CallExpr node, so we
-	// must subtract those occurrences.
-	spawnCalls := make(map[*ast.CallExpr]bool)
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		if sp, ok := n.(*ast.SpawnStmt); ok {
-			spawnCalls[sp.Call] = true
-		}
-		return true
-	})
-	plain := make(map[string]bool)
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		if ce, ok := n.(*ast.CallExpr); ok && !spawnCalls[ce] {
-			plain[ce.Fun.Name] = true
-		}
-		return true
-	})
-	for _, callee := range s.Callees {
-		if !plain[callee] {
-			s.SpawnedOnly[callee] = true
+			s.SpawnedOnly[c] = true
 		}
 	}
-	s.IsLeaf = len(plain) == 0
+
+	space := dataflow.NewSpace(r.Info, fn)
+	uds := dataflow.ComputeUseDef(space, s.NumStmts)
+	used, defined := space.NewSet(), space.NewSet()
+	for _, ud := range uds {
+		used.UnionWith(ud.Use)
+		defined.UnionWith(ud.Def)
+	}
+	s.DirectUsed, s.DirectDefined = sets.New(), sets.New()
+	space.AddGlobals(s.DirectUsed, used, nil)
+	space.AddGlobals(s.DirectDefined, defined, nil)
 	r.Spaces[fn.Name()] = space
 	r.UseDefs[fn.Name()] = uds
 	r.Summaries[fn.Name()] = s
@@ -158,23 +152,27 @@ func (r *Result) directFacts(fn *sem.FuncInfo) {
 // Analyze computes summaries for every function with a fixpoint over the
 // call graph (sound for recursion and mutual recursion).
 func Analyze(info *sem.Info) *Result {
+	n := len(info.FuncList)
 	r := &Result{
-		Info:      info,
-		Summaries: make(map[string]*FuncSummary),
-		UseDefs:   make(map[string]map[ast.StmtID]*dataflow.UseDef),
-		Spaces:    make(map[string]*dataflow.Space),
+		Info:         info,
+		Summaries:    make(map[string]*FuncSummary, n),
+		UseDefs:      make(map[string]map[ast.StmtID]*dataflow.UseDef, n),
+		Spaces:       make(map[string]*dataflow.Space, n),
+		spawnTargets: make(map[string]bool),
 	}
+	// Every summary set comes from one slab: four per function.
+	sets := bitset.NewSlab(info.NumGlobals(), 4*n)
 
 	// Pass 1: direct facts, one function at a time.
 	for _, fn := range info.FuncList {
-		r.directFacts(fn)
+		r.directFacts(fn, sets)
 	}
 
 	// Pass 2: transitive closure (only through plain calls; spawned code
 	// runs in another process).
 	for _, s := range r.Summaries {
-		s.Used = s.DirectUsed.Clone()
-		s.Defined = s.DirectDefined.Clone()
+		s.Used = sets.Clone(s.DirectUsed)
+		s.Defined = sets.Clone(s.DirectDefined)
 	}
 	changed := true
 	for changed {
@@ -223,16 +221,6 @@ func Analyze(info *sem.Info) *Result {
 }
 
 // SpawnTargets returns the set of functions that are ever spawned anywhere
-// in the program; each is a process entry point.
-func (r *Result) SpawnTargets() map[string]bool {
-	out := make(map[string]bool)
-	for _, fn := range r.Info.FuncList {
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			if sp, ok := n.(*ast.SpawnStmt); ok {
-				out[sp.Call.Fun.Name] = true
-			}
-			return true
-		})
-	}
-	return out
-}
+// in the program; each is a process entry point. The map is shared by
+// every caller, which must not modify it.
+func (r *Result) SpawnTargets() map[string]bool { return r.spawnTargets }

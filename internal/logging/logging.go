@@ -254,17 +254,43 @@ const (
 	pairChunk   = 512
 )
 
+// arena is the current fixed-capacity allocation chunk for records and
+// the same for Pairs backing storage, so the execution phase performs one
+// allocation per chunk instead of one (or more) per e-block boundary. A
+// ProgramLog's books share its arena: the VM appends to every book from
+// one goroutine, so one chunk serves all processes, where a chunk per
+// process would dwarf a small log.
+type arena struct {
+	records []Record
+	pairs   []VarVal
+}
+
+func (a *arena) newRecord() *Record {
+	if len(a.records) == cap(a.records) {
+		a.records = make([]Record, 0, recordChunk)
+	}
+	a.records = a.records[:len(a.records)+1]
+	return &a.records[len(a.records)-1]
+}
+
+func (a *arena) takePairs(n int) Pairs {
+	if cap(a.pairs)-len(a.pairs) < n {
+		a.pairs = make([]VarVal, 0, max(n, pairChunk))
+	}
+	off := len(a.pairs)
+	a.pairs = a.pairs[:off+n]
+	return Pairs(a.pairs[off : off : off+n])
+}
+
 // Book is one process's log, in generation order.
 type Book struct {
 	PID     int
 	Records []*Record
 
-	// arena is the current fixed-capacity allocation chunk for records;
-	// pairArena is the same for Pairs backing storage. Both exist so the
-	// execution phase performs one allocation per chunk instead of one (or
-	// more) per e-block boundary.
-	arena     []Record
-	pairArena []VarVal
+	// arena is the log's shared arena for books from BookFor, and own for
+	// a book built on its own.
+	arena *arena
+	own   arena
 
 	// Streaming state: when stream is non-nil, Append encodes the record
 	// into the per-book buffer immediately and recycles it via free, so a
@@ -297,11 +323,15 @@ func (b *Book) NewRecord() *Record {
 		r.reset()
 		return r
 	}
-	if len(b.arena) == cap(b.arena) {
-		b.arena = make([]Record, 0, recordChunk)
+	return b.mem().newRecord()
+}
+
+// mem returns the arena the book allocates from.
+func (b *Book) mem() *arena {
+	if b.arena == nil {
+		b.arena = &b.own
 	}
-	b.arena = b.arena[:len(b.arena)+1]
-	return &b.arena[len(b.arena)-1]
+	return b.arena
 }
 
 // TakePairs returns an empty Pairs with capacity for exactly n bindings:
@@ -313,16 +343,7 @@ func (b *Book) TakePairs(old Pairs, n int) Pairs {
 	if cap(old) >= n {
 		return old[:0]
 	}
-	if cap(b.pairArena)-len(b.pairArena) < n {
-		c := pairChunk
-		if n > c {
-			c = n
-		}
-		b.pairArena = make([]VarVal, 0, c)
-	}
-	off := len(b.pairArena)
-	b.pairArena = b.pairArena[:off+n]
-	return Pairs(b.pairArena[off : off : off+n])
+	return b.mem().takePairs(n)
 }
 
 // Append adds a record. Under a streaming sink the record is encoded and
@@ -357,6 +378,7 @@ type ProgramLog struct {
 
 	stream *Stream // non-nil when records are streamed instead of retained
 	tap    Tap     // inherited by every book (may be nil)
+	arena  arena   // shared by every book
 }
 
 // NewProgramLog returns an empty program log.
@@ -434,7 +456,7 @@ func (pl *ProgramLog) CloseStream() error {
 // BookFor returns (creating if needed) the book for a PID.
 func (pl *ProgramLog) BookFor(pid int) *Book {
 	for len(pl.Books) <= pid {
-		b := &Book{PID: len(pl.Books), tap: pl.tap}
+		b := &Book{PID: len(pl.Books), tap: pl.tap, arena: &pl.arena}
 		if pl.stream != nil {
 			b.attachStream(pl.stream)
 		}

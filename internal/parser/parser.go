@@ -18,6 +18,13 @@ type Parser struct {
 	toks []lexer.Token
 	pos  int
 
+	// The most numerous nodes come from slabs sized by the tokens that
+	// make them: one identifier per IDENT, one literal per INT, at most
+	// one binary expression per binary operator.
+	idents   slab[ast.Ident]
+	ints     slab[ast.IntLit]
+	binaries slab[ast.BinaryExpr]
+
 	prog   *ast.Program
 	nextID ast.StmtID
 }
@@ -32,6 +39,20 @@ func Parse(file *source.File, errs *source.ErrorList) *ast.Program {
 		prog:   &ast.Program{File: file},
 		nextID: 1,
 	}
+	var nIdents, nInts, nBinaries int
+	for _, t := range p.toks {
+		switch {
+		case t.Kind == token.IDENT:
+			nIdents++
+		case t.Kind == token.INT:
+			nInts++
+		case t.Kind.Precedence() > 0:
+			nBinaries++
+		}
+	}
+	p.idents = make(slab[ast.Ident], nIdents)
+	p.ints = make(slab[ast.IntLit], nInts)
+	p.binaries = make(slab[ast.BinaryExpr], nBinaries)
 	p.parseProgram()
 	p.prog.NumStmts = int(p.nextID) - 1
 	return p.prog
@@ -94,6 +115,27 @@ func (p *Parser) synchronize() {
 	}
 }
 
+// slab hands out nodes carved from one array, then heap nodes once it is
+// used up (error recovery can make nodes no token spelled).
+type slab[T any] []T
+
+func (s *slab[T]) next() *T {
+	if len(*s) == 0 {
+		return new(T)
+	}
+	n := &(*s)[0]
+	*s = (*s)[1:]
+	return n
+}
+
+// ident makes the identifier node for t.
+func (p *Parser) ident(t lexer.Token) *ast.Ident {
+	p.prog.NumIdents++
+	id := p.idents.next()
+	*id = ast.Ident{Name: t.Lit, NamePos: t.Pos}
+	return id
+}
+
 func (p *Parser) assignID(s interface{ SetID(ast.StmtID) }) {
 	s.SetID(p.nextID)
 	p.nextID++
@@ -139,7 +181,7 @@ func (p *Parser) parseGlobalDecl() *ast.GlobalDecl {
 	g := &ast.GlobalDecl{
 		KwPos: kw.Pos,
 		Kw:    kw.Kind,
-		Name:  &ast.Ident{Name: nameTok.Lit, NamePos: nameTok.Pos},
+		Name:  p.ident(nameTok),
 	}
 	switch kw.Kind {
 	case token.VAR, token.SHARED:
@@ -202,7 +244,7 @@ func (p *Parser) parseFuncDecl() *ast.FuncDecl {
 	nameTok := p.expect(token.IDENT)
 	f := &ast.FuncDecl{
 		FuncPos: kw.Pos,
-		Name:    &ast.Ident{Name: nameTok.Lit, NamePos: nameTok.Pos},
+		Name:    p.ident(nameTok),
 		Result:  ast.Type{Kind: ast.TypeVoid},
 	}
 	p.expect(token.LPAREN)
@@ -210,7 +252,7 @@ func (p *Parser) parseFuncDecl() *ast.FuncDecl {
 		pn := p.expect(token.IDENT)
 		pt := p.parseType()
 		f.Params = append(f.Params, ast.Param{
-			Name: &ast.Ident{Name: pn.Lit, NamePos: pn.Pos},
+			Name: p.ident(pn),
 			Type: pt,
 		})
 		if _, ok := p.accept(token.COMMA); !ok {
@@ -295,7 +337,7 @@ func (p *Parser) parseVarDeclStmt() ast.Stmt {
 	nameTok := p.expect(token.IDENT)
 	s := &ast.VarDeclStmt{
 		VarPos: kw.Pos,
-		Name:   &ast.Ident{Name: nameTok.Lit, NamePos: nameTok.Pos},
+		Name:   p.ident(nameTok),
 		Type:   ast.Type{Kind: ast.TypeInt},
 	}
 	if _, ok := p.accept(token.LBRACK); ok {
@@ -374,7 +416,7 @@ func (p *Parser) parseForStmt() ast.Stmt {
 // parseSimpleAssign parses `x = e` or `a[i] = e` without the trailing ';'.
 func (p *Parser) parseSimpleAssign() ast.Stmt {
 	nameTok := p.expect(token.IDENT)
-	s := &ast.AssignStmt{LHS: &ast.Ident{Name: nameTok.Lit, NamePos: nameTok.Pos}}
+	s := &ast.AssignStmt{LHS: p.ident(nameTok)}
 	if _, ok := p.accept(token.LBRACK); ok {
 		s.Index = p.parseExpr()
 		p.expect(token.RBRACK)
@@ -401,7 +443,7 @@ func (p *Parser) parseReturnStmt() ast.Stmt {
 func (p *Parser) parseSpawnStmt() ast.Stmt {
 	kw := p.expect(token.SPAWN)
 	nameTok := p.expect(token.IDENT)
-	call := p.parseCallAfterName(&ast.Ident{Name: nameTok.Lit, NamePos: nameTok.Pos})
+	call := p.parseCallAfterName(p.ident(nameTok))
 	semi := p.expect(token.SEMICOLON)
 	s := &ast.SpawnStmt{SpawnPos: kw.Pos, Call: call, EndPos: semi.Pos + 1}
 	p.assignID(s)
@@ -417,7 +459,7 @@ func (p *Parser) parseSemStmt() ast.Stmt {
 	s := &ast.SemStmt{
 		Op:     op.Kind,
 		OpPos:  op.Pos,
-		Sem:    &ast.Ident{Name: nameTok.Lit, NamePos: nameTok.Pos},
+		Sem:    p.ident(nameTok),
 		EndPos: semi.Pos + 1,
 	}
 	p.assignID(s)
@@ -434,7 +476,7 @@ func (p *Parser) parseSendStmt() ast.Stmt {
 	semi := p.expect(token.SEMICOLON)
 	s := &ast.SendStmt{
 		SendPos: kw.Pos,
-		Chan:    &ast.Ident{Name: nameTok.Lit, NamePos: nameTok.Pos},
+		Chan:    p.ident(nameTok),
 		Value:   val,
 		EndPos:  semi.Pos + 1,
 	}
@@ -461,7 +503,7 @@ func (p *Parser) parsePrintStmt() ast.Stmt {
 
 func (p *Parser) parseAssignOrCall() ast.Stmt {
 	nameTok := p.expect(token.IDENT)
-	id := &ast.Ident{Name: nameTok.Lit, NamePos: nameTok.Pos}
+	id := p.ident(nameTok)
 	if p.at(token.LPAREN) {
 		call := p.parseCallAfterName(id)
 		semi := p.expect(token.SEMICOLON)
@@ -510,7 +552,9 @@ func (p *Parser) parseBinary(minPrec int) ast.Expr {
 		}
 		p.next()
 		y := p.parseBinary(prec + 1)
-		x = &ast.BinaryExpr{Op: op.Kind, OpPos: op.Pos, X: x, Y: y}
+		b := p.binaries.next()
+		*b = ast.BinaryExpr{Op: op.Kind, OpPos: op.Pos, X: x, Y: y}
+		x = b
 	}
 }
 
@@ -528,7 +572,9 @@ func (p *Parser) parsePrimary() ast.Expr {
 	switch p.cur().Kind {
 	case token.INT:
 		t := p.next()
-		return &ast.IntLit{Value: int64(atoi(t.Lit)), LitPos: t.Pos, Text: t.Lit}
+		lit := p.ints.next()
+		*lit = ast.IntLit{Value: int64(atoi(t.Lit)), LitPos: t.Pos, Text: t.Lit}
+		return lit
 	case token.TRUE:
 		t := p.next()
 		return &ast.BoolLit{Value: true, LitPos: t.Pos}
@@ -545,7 +591,7 @@ func (p *Parser) parsePrimary() ast.Expr {
 		rp := p.expect(token.RPAREN)
 		return &ast.RecvExpr{
 			RecvPos: kw.Pos,
-			Chan:    &ast.Ident{Name: nameTok.Lit, NamePos: nameTok.Pos},
+			Chan:    p.ident(nameTok),
 			Rparen:  rp.Pos,
 		}
 	case token.LPAREN:
@@ -555,7 +601,7 @@ func (p *Parser) parsePrimary() ast.Expr {
 		return &ast.ParenExpr{Lparen: lp.Pos, X: x, Rparen: rp.Pos}
 	case token.IDENT:
 		nameTok := p.next()
-		id := &ast.Ident{Name: nameTok.Lit, NamePos: nameTok.Pos}
+		id := p.ident(nameTok)
 		switch p.cur().Kind {
 		case token.LPAREN:
 			return p.parseCallAfterName(id)

@@ -112,7 +112,7 @@ type FuncPDG struct {
 	Fn       *sem.FuncInfo
 	CFG      *cfg.Graph
 	Space    *dataflow.Space
-	UseDefs  map[ast.StmtID]*dataflow.UseDef // widened with call effects
+	UseDefs  map[ast.StmtID]*dataflow.UseDef // widened with call effects; shares the call-free statements' facts with Inter.UseDefs
 	Reaching *dataflow.Reaching
 	DataDeps []DataDep
 	Simple   *Simplified
@@ -149,18 +149,19 @@ func BuildFromInter(inter *interproc.Result, crossWriteFilter bool) *Program {
 	p := &Program{
 		Info:       info,
 		Inter:      inter,
-		Funcs:      make(map[string]*FuncPDG),
+		Funcs:      make(map[string]*FuncPDG, len(info.FuncList)),
 		SharedMask: bitset.New(info.NumGlobals()),
 	}
 	for _, id := range info.SharedIDs() {
 		p.SharedMask.Add(id)
 	}
+	perFunc := bitset.NewSlab(info.NumGlobals(), len(info.FuncList))
 	if crossWriteFilter {
-		p.computeWrittenByOthers()
+		p.computeWrittenByOthers(perFunc)
 	} else {
-		p.WrittenByOthers = make(map[string]*bitset.Set)
+		p.WrittenByOthers = make(map[string]*bitset.Set, len(info.FuncList))
 		for _, fn := range info.FuncList {
-			p.WrittenByOthers[fn.Name()] = p.SharedMask.Clone()
+			p.WrittenByOthers[fn.Name()] = perFunc.Clone(p.SharedMask)
 		}
 	}
 	for _, fn := range info.FuncList {
@@ -171,8 +172,8 @@ func BuildFromInter(inter *interproc.Result, crossWriteFilter bool) *Program {
 
 // computeWrittenByOthers derives, per function, the shared globals some
 // concurrently-running process may write (see Program.WrittenByOthers).
-func (p *Program) computeWrittenByOthers() {
-	p.WrittenByOthers = make(map[string]*bitset.Set)
+func (p *Program) computeWrittenByOthers(sets *bitset.Slab) {
+	p.WrittenByOthers = make(map[string]*bitset.Set, len(p.Info.FuncList))
 	targets := p.Inter.SpawnTargets()
 	crossBase := bitset.New(p.Info.NumGlobals())
 	for t := range targets {
@@ -204,7 +205,7 @@ func (p *Program) computeWrittenByOthers() {
 		mainDefined = m.Defined
 	}
 	for _, fn := range p.Info.FuncList {
-		w := crossBase.Clone()
+		w := sets.Clone(crossBase)
 		if reach[fn.Name()] && mainDefined != nil {
 			w.UnionWith(mainDefined)
 		}
@@ -215,18 +216,33 @@ func (p *Program) computeWrittenByOthers() {
 
 func (p *Program) buildFunc(fn *sem.FuncInfo) *FuncPDG {
 	space := p.Inter.Spaces[fn.Name()]
-	g := cfg.Build(fn)
+	g := cfg.Build(fn, p.Inter.Summaries[fn.Name()].NumStmts)
 
 	// Widen a private copy of the UseDefs with interprocedural effects.
+	// Only a statement with calls widens, and callee effects never kill,
+	// so the copy shares everything else with the direct facts.
 	direct := p.Inter.UseDefs[fn.Name()]
 	uds := make(map[ast.StmtID]*dataflow.UseDef, len(direct))
-	for id, ud := range direct {
-		uds[id] = &dataflow.UseDef{
-			Use:   ud.Use.Clone(),
-			Def:   ud.Def.Clone(),
-			Kill:  ud.Kill.Clone(),
-			Calls: ud.Calls,
+	nCalls := 0
+	for _, ud := range direct {
+		if len(ud.Calls) > 0 {
+			nCalls++
 		}
+	}
+	widened := make([]dataflow.UseDef, 0, nCalls)
+	sets := bitset.NewSlab(space.Size(), 2*nCalls)
+	for id, ud := range direct {
+		if len(ud.Calls) == 0 {
+			uds[id] = ud
+			continue
+		}
+		widened = append(widened, dataflow.UseDef{
+			Use:   sets.Clone(ud.Use),
+			Def:   sets.Clone(ud.Def),
+			Kill:  ud.Kill,
+			Calls: ud.Calls,
+		})
+		uds[id] = &widened[len(widened)-1]
 	}
 	dataflow.ApplyCallEffects(space, uds, p.Inter.Effects())
 
@@ -239,9 +255,12 @@ func (p *Program) buildFunc(fn *sem.FuncInfo) *FuncPDG {
 		UseDefs:  uds,
 		Reaching: reach,
 	}
-	for _, du := range reach.DefUseChains() {
-		dd := DataDep{From: du.Def.Node, To: du.Use, Var: du.Var}
-		f.DataDeps = append(f.DataDeps, dd)
+	chains := reach.DefUseChains()
+	if len(chains) > 0 {
+		f.DataDeps = make([]DataDep, len(chains))
+		for i, du := range chains {
+			f.DataDeps[i] = DataDep{From: du.Def.Node, To: du.Use, Var: du.Var}
+		}
 	}
 	f.Simple = p.buildSimplified(f, direct)
 	return f
@@ -252,6 +271,8 @@ func (f *FuncPDG) CtrlDepsOf(n cfg.NodeID) []cfg.NodeID { return f.CFG.CtrlDeps[
 
 // classify determines whether a CFG node is kept in the simplified graph
 // and with what kind. Ordinary assignments and prints collapse into edges.
+// Only the node's own expressions count: an if/while/for node is its
+// predicate, and nested statements have their own nodes.
 func classify(n *cfg.Node) (SimpleNodeKind, bool) {
 	if n.ID == cfg.EntryNode {
 		return SimpleEntry, true
@@ -259,61 +280,43 @@ func classify(n *cfg.Node) (SimpleNodeKind, bool) {
 	if n.ID == cfg.ExitNode {
 		return SimpleExit, true
 	}
-	s := n.Stmt
-	if s == nil {
+	var sync, call bool
+	switch st := n.Stmt.(type) {
+	case nil:
 		return 0, false
-	}
-	// Sync operations first: they are unit boundaries even when they also
-	// contain calls (a recv in a call argument, say).
-	sync := false
-	call := false
-	ast.Inspect(s, func(x ast.Node) bool {
-		switch x.(type) {
-		case *ast.BlockStmt:
-			// Do not descend into nested statements: classification is per
-			// CFG node, and nested statements have their own nodes.
-			return false
-		case *ast.IfStmt, *ast.WhileStmt, *ast.ForStmt:
-			if x != ast.Node(s) {
-				return false
-			}
-			// For the node's own predicate statement, only the condition
-			// expression belongs to it; children statements have own nodes.
-		case *ast.SemStmt, *ast.SendStmt, *ast.SpawnStmt, *ast.RecvExpr:
-			sync = true
-		case *ast.CallExpr:
-			call = true
+	case *ast.IfStmt, *ast.WhileStmt, *ast.ForStmt:
+		var cond ast.Expr
+		switch st := st.(type) {
+		case *ast.IfStmt:
+			cond = st.Cond
+		case *ast.WhileStmt:
+			cond = st.Cond
+		case *ast.ForStmt:
+			cond = st.Cond
 		}
-		return true
-	})
-	// Restrict the inspection to this statement's own expressions: for
-	// if/while/for we must not pick up calls in the body (bodies are other
-	// CFG nodes). Inspect above descends into Then/Else/Body, so redo
-	// precisely for predicates.
-	switch st := s.(type) {
-	case *ast.IfStmt:
-		sync, call = exprSyncCall(st.Cond)
-	case *ast.WhileStmt:
-		sync, call = exprSyncCall(st.Cond)
-	case *ast.ForStmt:
-		if st.Cond != nil {
-			sync, call = exprSyncCall(st.Cond)
-		} else {
-			sync, call = false, false
-		}
-	}
-	if _, isBranch := s.(*ast.IfStmt); isBranch {
-		if sync || call {
+		if sync, call = exprSyncCall(cond); sync || call {
 			return SimpleCall, true // degenerate: predicate with a call
 		}
 		return SimpleBranch, true
-	}
-	switch s.(type) {
-	case *ast.WhileStmt, *ast.ForStmt:
-		if sync || call {
-			return SimpleCall, true
+	// Sync operations first: they are unit boundaries even when they also
+	// contain calls (a recv in a call argument, say).
+	case *ast.SemStmt, *ast.SendStmt, *ast.SpawnStmt:
+		return SimpleSync, true
+	case *ast.VarDeclStmt:
+		sync, call = exprSyncCall(st.Init)
+	case *ast.AssignStmt:
+		sync, call = exprSyncCall(st.Index)
+		s2, c2 := exprSyncCall(st.RHS)
+		sync, call = sync || s2, call || c2
+	case *ast.ReturnStmt:
+		sync, call = exprSyncCall(st.Result)
+	case *ast.ExprStmt:
+		sync, call = exprSyncCall(st.X)
+	case *ast.PrintStmt:
+		for _, a := range st.Args {
+			s2, c2 := exprSyncCall(a)
+			sync, call = sync || s2, call || c2
 		}
-		return SimpleBranch, true
 	}
 	if sync {
 		return SimpleSync, true
@@ -324,72 +327,106 @@ func classify(n *cfg.Node) (SimpleNodeKind, bool) {
 	return 0, false
 }
 
+// exprSyncCall reports whether e (nil allowed) contains a recv and whether
+// it contains a call.
 func exprSyncCall(e ast.Expr) (sync, call bool) {
-	ast.Inspect(e, func(x ast.Node) bool {
-		switch x.(type) {
-		case *ast.RecvExpr:
-			sync = true
-		case *ast.CallExpr:
-			call = true
+	switch e := e.(type) {
+	case *ast.RecvExpr:
+		return true, false
+	case *ast.CallExpr:
+		for _, a := range e.Args {
+			if s, _ := exprSyncCall(a); s {
+				return true, true
+			}
 		}
-		return true
-	})
-	return sync, call
+		return false, true
+	case *ast.UnaryExpr:
+		return exprSyncCall(e.X)
+	case *ast.ParenExpr:
+		return exprSyncCall(e.X)
+	case *ast.IndexExpr:
+		return exprSyncCall(e.Index)
+	case *ast.BinaryExpr:
+		sx, cx := exprSyncCall(e.X)
+		sy, cy := exprSyncCall(e.Y)
+		return sx || sy, cx || cy
+	}
+	return false, false
 }
 
 func (p *Program) buildSimplified(f *FuncPDG, directUDs map[ast.StmtID]*dataflow.UseDef) *Simplified {
 	g := f.CFG
-	s := &Simplified{
-		Kinds: make(map[cfg.NodeID]SimpleNodeKind),
-		Out:   make(map[cfg.NodeID][]int),
-	}
+	// The edges, units and their sets come from slabs: one edge per
+	// successor of a kept node, with two sets, and one unit per
+	// non-branching kept node but EXIT, with three.
+	var kept []cfg.NodeID
+	var kinds []SimpleNodeKind
+	nEdges, nUnits := 0, 0
 	for _, n := range g.Nodes {
 		if kind, keep := classify(n); keep {
-			s.Kinds[n.ID] = kind
+			kept, kinds = append(kept, n.ID), append(kinds, kind)
+			nEdges += len(n.Succs)
+			if !kind.Branching() && kind != SimpleExit {
+				nUnits++
+			}
 		}
 	}
+	s := &Simplified{
+		Kinds: make(map[cfg.NodeID]SimpleNodeKind, len(kept)),
+		Out:   make(map[cfg.NodeID][]int, len(kept)),
+		Edges: make([]*SimpleEdge, 0, nEdges),
+	}
+	for i, id := range kept {
+		s.Kinds[id] = kinds[i]
+	}
+	sets := bitset.NewSlab(p.Info.NumGlobals(), 2*nEdges+3*nUnits)
+	edges := make([]SimpleEdge, nEdges)
+	// A kept node's edges get consecutive IDs, so its Out list is a run
+	// of edgeIDs; the edges' interiors share one buffer too.
+	edgeIDs := make([]int, nEdges)
+	for i := range edgeIDs {
+		edgeIDs[i] = i
+	}
+	interior := make([]cfg.NodeID, 0, len(g.Nodes))
 
-	sharedUse := func(id ast.StmtID) *bitset.Set {
-		out := bitset.New(p.Info.NumGlobals())
+	// addShared adds the shared globals of statement id's direct uses (or
+	// defs) to dst.
+	addShared := func(dst *bitset.Set, id ast.StmtID, defs bool) {
 		if ud, ok := directUDs[id]; ok {
-			got := f.Space.GlobalsOnly(ud.Use)
-			got.IntersectWith(p.SharedMask)
-			out.UnionWith(got)
+			set := ud.Use
+			if defs {
+				set = ud.Def
+			}
+			f.Space.AddGlobals(dst, set, p.SharedMask)
 		}
-		return out
-	}
-	sharedDef := func(id ast.StmtID) *bitset.Set {
-		out := bitset.New(p.Info.NumGlobals())
-		if ud, ok := directUDs[id]; ok {
-			got := f.Space.GlobalsOnly(ud.Def)
-			got.IntersectWith(p.SharedMask)
-			out.UnionWith(got)
-		}
-		return out
 	}
 
 	// Collapse: from each kept node, follow each CFG successor through
 	// non-kept (necessarily single-successor) nodes until the next kept
 	// node, accumulating interior statements and their shared reads/writes.
-	for from := range s.Kinds {
+	for _, from := range kept {
+		first := len(s.Edges)
 		for _, succ := range g.Nodes[from].Succs {
-			e := &SimpleEdge{
+			e := &edges[0]
+			edges = edges[1:]
+			*e = SimpleEdge{
 				ID:     len(s.Edges),
 				From:   from,
-				Reads:  bitset.New(p.Info.NumGlobals()),
-				Writes: bitset.New(p.Info.NumGlobals()),
+				Reads:  sets.New(),
+				Writes: sets.New(),
 			}
 			cur := succ
 			guard := 0
+			start := len(interior)
 			for {
 				if _, kept := s.Kinds[cur]; kept {
 					break
 				}
 				n := g.Nodes[cur]
-				e.Interior = append(e.Interior, cur)
+				interior = append(interior, cur)
 				if n.Stmt != nil {
-					e.Reads.UnionWith(sharedUse(n.Stmt.ID()))
-					e.Writes.UnionWith(sharedDef(n.Stmt.ID()))
+					addShared(e.Reads, n.Stmt.ID(), false)
+					addShared(e.Writes, n.Stmt.ID(), true)
 				}
 				if len(n.Succs) == 0 {
 					// Dead end (unreachable fragment); drop the edge.
@@ -404,59 +441,61 @@ func (p *Program) buildSimplified(f *FuncPDG, directUDs map[ast.StmtID]*dataflow
 				}
 			}
 			if cur == -1 {
+				interior = interior[:start]
 				continue
+			}
+			if len(interior) > start {
+				e.Interior = interior[start:len(interior):len(interior)]
 			}
 			e.To = cur
 			// A branching target's predicate reads occur on entry to the
 			// node, i.e. while still inside this edge's unit.
 			if kind := s.Kinds[cur]; kind.Branching() {
 				if st := g.Nodes[cur].Stmt; st != nil {
-					e.Reads.UnionWith(sharedUse(st.ID()))
+					addShared(e.Reads, st.ID(), false)
 				}
 			}
 			s.Edges = append(s.Edges, e)
-			s.Out[from] = append(s.Out[from], e.ID)
+		}
+		if n := len(s.Edges); n > first {
+			s.Out[from] = edgeIDs[first:n:n]
 		}
 	}
 
-	s.Units = p.buildUnits(f, s)
+	s.Units = p.buildUnits(f, s, kept, nUnits, sets)
 	return s
 }
 
 // buildUnits computes Definition 5.1 sync units for every non-branching
-// node except EXIT (nothing is reachable from EXIT).
-func (p *Program) buildUnits(f *FuncPDG, s *Simplified) []*SyncUnit {
-	var starts []cfg.NodeID
-	for id, kind := range s.Kinds {
-		if !kind.Branching() && kind != SimpleExit {
-			starts = append(starts, id)
+// node except EXIT (nothing is reachable from EXIT), in node order: ENTRY
+// first, then by CFG node id.
+func (p *Program) buildUnits(f *FuncPDG, s *Simplified, kept []cfg.NodeID, nUnits int, sets *bitset.Slab) []*SyncUnit {
+	units := make([]*SyncUnit, 0, nUnits)
+	slab := make([]SyncUnit, nUnits)
+	direct := p.Inter.UseDefs[f.Fn.Name()]
+	written := p.WrittenByOthers[f.Fn.Name()]
+	seenEdge := make([]bool, len(s.Edges))
+	var work []int
+	for _, start := range kept {
+		if kind := s.Kinds[start]; kind.Branching() || kind == SimpleExit {
+			continue
 		}
-	}
-	// Deterministic order: ENTRY first, then by CFG node id.
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-
-	var units []*SyncUnit
-	for _, start := range starts {
-		u := &SyncUnit{
+		u := &slab[len(units)]
+		*u = SyncUnit{
 			Start: start,
-			Reads: bitset.New(p.Info.NumGlobals()),
-			Write: bitset.New(p.Info.NumGlobals()),
+			Reads: sets.New(),
+			Write: sets.New(),
 		}
 		// The start node's own direct reads happen at the unit's beginning
 		// (call arguments, send values).
 		if st := f.CFG.Nodes[start].Stmt; st != nil {
-			if ud, ok := p.Inter.UseDefs[f.Fn.Name()][st.ID()]; ok {
-				got := f.Space.GlobalsOnly(ud.Use)
-				got.IntersectWith(p.SharedMask)
-				u.Reads.UnionWith(got)
-				gotW := f.Space.GlobalsOnly(ud.Def)
-				gotW.IntersectWith(p.SharedMask)
-				u.Write.UnionWith(gotW)
+			if ud, ok := direct[st.ID()]; ok {
+				f.Space.AddGlobals(u.Reads, ud.Use, p.SharedMask)
+				f.Space.AddGlobals(u.Write, ud.Def, p.SharedMask)
 			}
 		}
-		seenEdge := make(map[int]bool)
-		var work []int
-		work = append(work, s.Out[start]...)
+		clear(seenEdge)
+		work = append(work[:0], s.Out[start]...)
 		for len(work) > 0 {
 			eid := work[len(work)-1]
 			work = work[:len(work)-1]
@@ -473,8 +512,8 @@ func (p *Program) buildUnits(f *FuncPDG, s *Simplified) []*SyncUnit {
 			}
 		}
 		sort.Ints(u.Edges)
-		u.CrossReads = u.Reads.Clone()
-		u.CrossReads.IntersectWith(p.WrittenByOthers[f.Fn.Name()])
+		u.CrossReads = sets.Clone(u.Reads)
+		u.CrossReads.IntersectWith(written)
 		units = append(units, u)
 	}
 	return units

@@ -47,8 +47,7 @@ type DB struct {
 
 	Stmts map[ast.StmtID]*StmtInfo
 
-	// vars is keyed by "scope\x00name" (scope empty for globals).
-	vars map[string]*VarSites
+	vars map[varKey]*VarSites
 
 	// vet caches the static-analysis result: the paper's program database
 	// stores "the information obtained by semantic analyses of the
@@ -82,39 +81,82 @@ func (db *DB) Vet() *analysis.Result {
 // indexed in FuncList order, statements in source order, so every
 // variable's def and use site lists are in that order too.
 func Build(p *pdg.Program, plan *eblock.Plan) *DB {
+	nVars := len(p.Info.Globals)
+	for _, fn := range p.Info.FuncList {
+		nVars += len(fn.Locals)
+	}
 	db := &DB{
 		Prog:  p.Info.Prog,
 		Info:  p.Info,
 		PDG:   p,
 		Plan:  plan,
-		Stmts: make(map[ast.StmtID]*StmtInfo),
-		vars:  make(map[string]*VarSites),
+		Stmts: make(map[ast.StmtID]*StmtInfo, p.Info.Prog.NumStmts),
+		vars:  make(map[varKey]*VarSites, nVars),
 	}
+	sites := make([]VarSites, 0, nVars)
 	for _, g := range p.Info.Globals {
-		db.vars[key("", g.Name)] = &VarSites{Symbol: g}
+		sites = append(sites, VarSites{Symbol: g})
+		db.vars[varKey{"", g.Name}] = &sites[len(sites)-1]
 	}
 	for _, fn := range p.Info.FuncList {
 		for _, l := range fn.Locals {
-			db.vars[key(fn.Name(), l.Name)] = &VarSites{Symbol: l, Scope: fn.Name()}
+			sites = append(sites, VarSites{Symbol: l, Scope: fn.Name()})
+			db.vars[varKey{fn.Name(), l.Name}] = &sites[len(sites)-1]
 		}
 	}
+	ix := &indexer{db: db, infos: make([]StmtInfo, p.Info.Prog.NumStmts)}
 	for _, fn := range p.Info.FuncList {
-		db.indexFunc(fn)
+		ix.indexFunc(fn)
 	}
 	return db
 }
 
-func key(scope, name string) string { return scope + "\x00" + name }
+// varKey names a variable: its function, empty for globals, and its name.
+type varKey struct{ scope, name string }
+
+// indexer fills a database's statements and def/use sites.
+type indexer struct {
+	db    *DB
+	infos []StmtInfo // slab the next statement records come from
+	stmts []ast.Stmt
+	vars  []*VarSites // the current function's sites by space index
+}
 
 // indexFunc records one function's statements and its variables' def and
 // use sites.
-func (db *DB) indexFunc(fn *sem.FuncInfo) {
+func (ix *indexer) indexFunc(fn *sem.FuncInfo) {
+	db := ix.db
 	space := db.PDG.Funcs[fn.Name()].Space
 	file := db.Prog.File
 	uds := db.PDG.Inter.UseDefs[fn.Name()]
-	for _, s := range ast.Stmts(fn.Decl.Body) {
+	ix.vars = append(ix.vars[:0], make([]*VarSites, space.Size())...)
+	site := func(v int) *VarSites {
+		if vs := ix.vars[v]; vs != nil {
+			return vs
+		}
+		sym, scope := space.Symbol(v), ""
+		if !space.IsGlobal(v) {
+			scope = fn.Name()
+		}
+		k := varKey{scope, sym.Name}
+		vs, ok := db.vars[k]
+		if !ok {
+			vs = &VarSites{Symbol: sym, Scope: scope}
+			db.vars[k] = vs
+		}
+		ix.vars[v] = vs
+		return vs
+	}
+	ix.stmts = ast.AppendStmts(ix.stmts[:0], fn.Decl.Body)
+	for _, s := range ix.stmts {
 		id := s.ID()
-		si := &StmtInfo{
+		var si *StmtInfo
+		if len(ix.infos) > 0 {
+			si, ix.infos = &ix.infos[0], ix.infos[1:]
+		} else {
+			si = new(StmtInfo)
+		}
+		*si = StmtInfo{
 			ID:   id,
 			Func: fn.Name(),
 			Pos:  file.Position(s.Pos()),
@@ -130,19 +172,6 @@ func (db *DB) indexFunc(fn *sem.FuncInfo) {
 			continue
 		}
 		si.Calls = ud.Calls
-		site := func(v int) *VarSites {
-			sym, scope := space.Symbol(v), ""
-			if !space.IsGlobal(v) {
-				scope = fn.Name()
-			}
-			k := key(scope, sym.Name)
-			vs, ok := db.vars[k]
-			if !ok {
-				vs = &VarSites{Symbol: sym, Scope: scope}
-				db.vars[k] = vs
-			}
-			return vs
-		}
 		ud.Def.ForEach(func(v int) {
 			vs := site(v)
 			vs.Defs = append(vs.Defs, id)
@@ -155,10 +184,10 @@ func (db *DB) indexFunc(fn *sem.FuncInfo) {
 }
 
 // Global returns def/use sites of a global variable, or nil.
-func (db *DB) Global(name string) *VarSites { return db.vars[key("", name)] }
+func (db *DB) Global(name string) *VarSites { return db.vars[varKey{"", name}] }
 
 // Local returns def/use sites of a function-scoped variable, or nil.
-func (db *DB) Local(fn, name string) *VarSites { return db.vars[key(fn, name)] }
+func (db *DB) Local(fn, name string) *VarSites { return db.vars[varKey{fn, name}] }
 
 // Stmt returns the record for a statement ID, or nil.
 func (db *DB) Stmt(id ast.StmtID) *StmtInfo { return db.Stmts[id] }

@@ -87,7 +87,6 @@ type Info struct {
 	Funcs    map[string]*FuncInfo
 	FuncList []*FuncInfo
 	Uses     map[*ast.Ident]*Symbol // every resolved identifier use
-	Types    map[ast.Expr]ast.Type
 	Main     *FuncInfo
 
 	// EnclosingFunc maps each statement to the function containing it.
@@ -124,9 +123,11 @@ type checker struct {
 	errs *source.ErrorList
 	file *source.File
 
-	fn     *FuncInfo
-	scopes []map[string]*Symbol
-	loop   int // loop nesting depth
+	globals map[string]*Symbol // first declaration of each global name
+	fn      *FuncInfo
+	scopes  []map[string]*Symbol // scopes[len:cap] are emptied maps for reuse
+	loop    int                  // loop nesting depth
+	syms    []Symbol             // slab the next local symbols come from
 }
 
 // Check resolves and type-checks the program. Diagnostics go to errs; the
@@ -135,10 +136,9 @@ func Check(prog *ast.Program, errs *source.ErrorList) *Info {
 	c := &checker{
 		info: &Info{
 			Prog:          prog,
-			Funcs:         make(map[string]*FuncInfo),
-			Uses:          make(map[*ast.Ident]*Symbol),
-			Types:         make(map[ast.Expr]ast.Type),
-			EnclosingFunc: make(map[ast.StmtID]*FuncInfo),
+			Funcs:         make(map[string]*FuncInfo, len(prog.Funcs)),
+			Uses:          make(map[*ast.Ident]*Symbol, prog.NumIdents),
+			EnclosingFunc: make(map[ast.StmtID]*FuncInfo, prog.NumStmts),
 		},
 		errs: errs,
 		file: prog.File,
@@ -164,20 +164,23 @@ func (c *checker) errorf(pos source.Pos, format string, args ...any) {
 }
 
 func (c *checker) collectGlobals() {
-	seen := make(map[string]bool)
-	for _, g := range c.info.Prog.Globals {
-		if seen[g.Name.Name] {
+	decls := c.info.Prog.Globals
+	c.globals = make(map[string]*Symbol, len(decls))
+	syms := make([]Symbol, len(decls))
+	for i, g := range decls {
+		if c.globals[g.Name.Name] != nil {
 			c.errorf(g.Name.NamePos, "duplicate global %q", g.Name.Name)
 			continue
 		}
-		seen[g.Name.Name] = true
-		sym := &Symbol{
+		sym := &syms[i]
+		*sym = Symbol{
 			Name:     g.Name.Name,
 			Type:     g.Type,
 			GlobalID: len(c.info.Globals),
 			Slot:     -1,
 			DeclPos:  g.Name.NamePos,
 		}
+		c.globals[sym.Name] = sym
 		switch g.Kw {
 		case token.VAR, token.SHARED:
 			sym.Kind = SymGlobal
@@ -206,7 +209,7 @@ func (c *checker) collectFuncs() {
 			c.errorf(f.Name.NamePos, "duplicate function %q", f.Name.Name)
 			continue
 		}
-		if c.info.GlobalByName(f.Name.Name) != nil {
+		if c.globals[f.Name.Name] != nil {
 			c.errorf(f.Name.NamePos, "%q declared as both global and function", f.Name.Name)
 		}
 		fi := &FuncInfo{Decl: f, Index: i}
@@ -225,22 +228,40 @@ func (c *checker) collectFuncs() {
 	}
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, make(map[string]*Symbol)) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+// pushScope opens a scope, reusing a map an earlier scope at this depth
+// emptied.
+func (c *checker) pushScope() {
+	if n := len(c.scopes); n < cap(c.scopes) && c.scopes[:n+1][n] != nil {
+		c.scopes = c.scopes[:n+1]
+		return
+	}
+	c.scopes = append(c.scopes, make(map[string]*Symbol))
+}
+
+func (c *checker) popScope() {
+	n := len(c.scopes) - 1
+	clear(c.scopes[n])
+	c.scopes = c.scopes[:n]
+}
 
 func (c *checker) declareLocal(id *ast.Ident, kind SymKind, t ast.Type) *Symbol {
 	top := c.scopes[len(c.scopes)-1]
 	if _, dup := top[id.Name]; dup {
 		c.errorf(id.NamePos, "duplicate declaration of %q", id.Name)
 	}
-	sym := &Symbol{
-		Name:    id.Name,
-		Kind:    kind,
-		Type:    t,
-		Slot:    c.fn.NumSlots,
-		DeclPos: id.NamePos,
+	if len(c.syms) == 0 {
+		c.syms = make([]Symbol, 16)
 	}
-	sym.GlobalID = -1
+	sym := &c.syms[0]
+	c.syms = c.syms[1:]
+	*sym = Symbol{
+		Name:     id.Name,
+		Kind:     kind,
+		Type:     t,
+		GlobalID: -1,
+		Slot:     c.fn.NumSlots,
+		DeclPos:  id.NamePos,
+	}
 	c.fn.NumSlots++
 	c.fn.Locals = append(c.fn.Locals, sym)
 	top[id.Name] = sym
@@ -254,7 +275,7 @@ func (c *checker) lookup(name string) *Symbol {
 			return s
 		}
 	}
-	if g := c.info.GlobalByName(name); g != nil {
+	if g := c.globals[name]; g != nil {
 		return g
 	}
 	if f, ok := c.info.Funcs[name]; ok {
@@ -494,12 +515,6 @@ func (c *checker) checkCall(call *ast.CallExpr, spawn bool) ast.Type {
 }
 
 func (c *checker) checkExpr(e ast.Expr) ast.Type {
-	t := c.exprType(e)
-	c.info.Types[e] = t
-	return t
-}
-
-func (c *checker) exprType(e ast.Expr) ast.Type {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		return ast.Type{Kind: ast.TypeInt}

@@ -177,25 +177,6 @@ func main() { spawn f(); }
 	_ = info
 }
 
-func TestTypesRecorded(t *testing.T) {
-	info := checkOK(t, `
-func main() {
-	var x = 1 + 2;
-	var b = x < 3;
-}
-`)
-	n := 0
-	for _, typ := range info.Types {
-		if typ.Kind == ast.TypeInvalid {
-			t.Error("invalid type recorded in clean program")
-		}
-		n++
-	}
-	if n == 0 {
-		t.Error("no types recorded")
-	}
-}
-
 func TestSymKindStrings(t *testing.T) {
 	wants := map[SymKind]string{
 		SymGlobal: "global", SymSem: "sem", SymChan: "chan",

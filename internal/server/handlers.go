@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"ppd"
@@ -338,36 +339,34 @@ type streamEvent struct {
 
 // streamRerun is the ?stream=1 branch of handleRerun: the re-run happens
 // with the online analysis pipeline attached and each race is written to
-// the response — NDJSON, flushed per event — while the program is still
+// the response — NDJSON, the first line flushed at once and later ones
+// within a millisecond (lineWriter) — while the program is still
 // executing. The caller holds the session's exclusive lock and a worker
 // slot. Because the 200 header is committed before the run starts, a
 // failing run is reported as a final "error" line rather than a status.
 func (s *Server) streamRerun(w http.ResponseWriter, r *http.Request, ss *session, req runOptions) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	lw := newLineWriter(w)
+	defer lw.close()
 	var out limitedBuffer
 	opts := s.options(req)
 	opts.Output = &out
 	// The callback runs on the pipeline's feeding goroutine; StreamRaces
 	// does not return until that goroutine has drained (the tee joins it),
-	// so these writes never interleave with the summary below.
+	// so every race line precedes the summary below.
 	res, err := ss.sess.StreamRaces(r.Context(), opts, func(ev ppd.RaceEvent) {
-		_ = enc.Encode(streamEvent{Type: "race", Race: ev.String()})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		lw.write(streamEvent{Type: "race", Race: ev.String()})
 	})
 	if err != nil {
-		_ = enc.Encode(streamEvent{Type: "error", Error: err.Error()})
+		lw.write(streamEvent{Type: "error", Error: err.Error()})
 		return
 	}
 	ss.seed.Store(req.Seed)
 	ss.quantum.Store(int64(req.Quantum))
 	exec := ss.sess.Execution()
 	report := exec.OnlineRaceReport()
-	_ = enc.Encode(streamEvent{
+	lw.write(streamEvent{
 		Type:          "summary",
 		Count:         len(res.Races),
 		Report:        report,
@@ -377,8 +376,74 @@ func (s *Server) streamRerun(w http.ResponseWriter, r *http.Request, ss *session
 		Retired:       res.Retired,
 		Output:        out.String(),
 	})
-	if flusher != nil {
-		flusher.Flush()
+}
+
+// lineFlushInterval bounds how long a streamed line waits in the response
+// buffer after the first: a run that finds thousands of races pays one
+// flush per interval instead of one per race.
+const lineFlushInterval = time.Millisecond
+
+// lineWriter encodes NDJSON lines onto a response and flushes them with
+// bounded latency: the first line at once, later ones at most once per
+// lineFlushInterval through one timer. One mutex orders the encoder's
+// writes and the timer's flushes, which run on different goroutines.
+type lineWriter struct {
+	mu      sync.Mutex
+	enc     *json.Encoder
+	flusher http.Flusher // nil when the writer cannot flush
+	timer   *time.Timer
+	first   bool // the first line has been flushed
+	pending bool // lines written since the last flush, with a flush scheduled
+	closed  bool
+}
+
+func newLineWriter(w http.ResponseWriter) *lineWriter {
+	f, _ := w.(http.Flusher)
+	return &lineWriter{enc: json.NewEncoder(w), flusher: f}
+}
+
+// write encodes one line and flushes it now (the first line) or schedules
+// a flush within lineFlushInterval.
+func (lw *lineWriter) write(ev streamEvent) {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	_ = lw.enc.Encode(ev)
+	switch {
+	case lw.flusher == nil || lw.pending:
+	case !lw.first:
+		lw.first = true
+		lw.flusher.Flush()
+	case lw.timer == nil:
+		lw.pending = true
+		lw.timer = time.AfterFunc(lineFlushInterval, lw.tick)
+	default:
+		lw.pending = true
+		lw.timer.Reset(lineFlushInterval)
+	}
+}
+
+// tick is the timer's scheduled flush.
+func (lw *lineWriter) tick() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if lw.closed || !lw.pending {
+		return
+	}
+	lw.pending = false
+	lw.flusher.Flush()
+}
+
+// close stops the timer and flushes what is left. It must run before the
+// handler returns: after close no tick touches the response.
+func (lw *lineWriter) close() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	lw.closed = true
+	if lw.timer != nil {
+		lw.timer.Stop()
+	}
+	if lw.flusher != nil {
+		lw.flusher.Flush()
 	}
 }
 
